@@ -112,6 +112,7 @@ type report = {
   tampers : int;  (** transport violations detected and audited *)
   migrations : int;
   rotations : int;  (** audit retention rotations survived *)
+  kick_faults : int;  (** notifications dropped or duplicated by the injector *)
   attempts_by_kind : (string * int) list;  (** attack attempts per adversary, sorted *)
   wins_by_kind : (string * int) list;  (** adversary wins per kind — must be [] *)
   violations : string list;  (** empty iff the invariant bundle held *)
@@ -137,11 +138,25 @@ let flip_bit s pos =
 
 let max_migrations_per_trace = 2
 
-let run_trace ?(seed = 7) (trace : trace) : report =
+(* Pump liveness: with 2 frontends, 8 queue slots each and 4 served per
+   round-robin turn, an admitted request is served within 2 * 8/4 rounds
+   that serve anything. *)
+let max_wait_rounds = 4
+
+let run_trace ?(seed = 7) ?kick_faults (trace : trace) : report =
   let open Vtpm_mgr in
   (* Full stack on: this is the configuration every prior PR added,
      running simultaneously. *)
   let host = Host.create ~mode:Host.Improved_mode ~seed ~rsa_bits:256 () in
+  (* Lossy notifications: kicks in both directions dropped or delivered
+     twice. Set before the supervisor captures the injector. *)
+  (match kick_faults with
+  | Some rate ->
+      Hypervisor.set_faults host.Host.xen
+        (Faults.create ~seed:(seed + 211)
+           ~rates:[ (Faults.Drop_notify, rate); (Faults.Dup_notify, rate) ]
+           ())
+  | None -> ());
   let m = Host.monitor_exn host in
   let backend = host.Host.backend in
   Manager.set_lanes host.Host.mgr 4;
@@ -235,16 +250,32 @@ let run_trace ?(seed = 7) (trace : trace) : report =
      [Some digest] for an extend, [None] for a read. *)
   let victim_meta : string option Queue.t = Queue.create () in
   let other_meta : string option Queue.t = Queue.create () in
+  (* Pump rounds that served something, and per frontend (FIFO like the
+     queues) the round count each legitimate request was admitted at. *)
+  let rounds = ref 0 in
+  let victim_admitted : int Queue.t = Queue.create () in
+  let other_admitted : int Queue.t = Queue.create () in
   let read_wire = Vtpm_tpm.Wire.encode_request (Vtpm_tpm.Cmd.Pcr_read { pcr = 10 }) in
   let extend_wire digest = Vtpm_tpm.Wire.encode_request (Vtpm_tpm.Cmd.Extend { pcr = 10; digest }) in
+  let admitted_for domid =
+    if domid = victim.Host.domid then victim_admitted
+    else if domid = other.Host.domid then other_admitted
+    else Queue.create ()
+  in
   let submit (g : Host.guest) q meta ~wire =
     match Driver.submit backend g.Host.conn ~wire () with
     | Ok () ->
         incr submitted;
-        Queue.push meta q
+        Queue.push meta q;
+        Queue.push !rounds (admitted_for g.Host.domid)
     | Error _ -> incr rejected
   in
   let on_served (s : Driver.serviced) =
+    (match Queue.take_opt (admitted_for s.Driver.s_domid) with
+    | Some at when !rounds - at > max_wait_rounds ->
+        violation "pump liveness: a request waited %d pump rounds (bound %d)" (!rounds - at)
+          max_wait_rounds
+    | Some _ | None -> ());
     let q =
       if s.Driver.s_domid = victim.Host.domid then victim_meta
       else if s.Driver.s_domid = other.Host.domid then other_meta
@@ -285,11 +316,27 @@ let run_trace ?(seed = 7) (trace : trace) : report =
                   | _ -> ()
                 end))
   in
+  (* After an exchange completes, the pump that answered it ran after
+     every earlier push: no connected ring may still hold a request. A
+     pump that skipped a ring with work (a lost wakeup) leaves one. *)
+  let check_rings_drained () =
+    if backend.Driver.alive then
+      List.iter
+        (fun (c : Driver.connection) ->
+          if c.Driver.connected && Ring.has_unconsumed_requests c.Driver.ring then
+            violation "pump liveness: ring of domain %d left with unconsumed requests"
+              c.Driver.fe_domid)
+        backend.Driver.connections
+  in
   let pump_round () =
     match Driver.pump_batch backend with
     | `Idle -> 0
     | `Served l ->
+        incr rounds;
         List.iter on_served l;
+        (match List.rev l with
+        | { Driver.s_outcome = Ok _; _ } :: _ -> check_rings_drained ()
+        | _ -> ());
         List.length l
   in
   let rec pump_all n =
@@ -566,6 +613,7 @@ let run_trace ?(seed = 7) (trace : trace) : report =
     tampers = stats.Monitor.transport_tampers;
     migrations = !migrations;
     rotations = Audit.rotations audit;
+    kick_faults = Faults.total_injected host.Host.xen.Hypervisor.faults;
     attempts_by_kind =
       List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) kind_attempts []);
     wins_by_kind = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) kind_wins []);
@@ -710,7 +758,7 @@ let load_trace path : (trace, string) result =
   | exception Sys_error e -> Error e
 
 let replay ?seed path : (report, string) result =
-  Result.map (run_trace ?seed) (load_trace path)
+  Result.map (fun t -> run_trace ?seed t) (load_trace path)
 
 (* --- QCheck surface ------------------------------------------------------------- *)
 

@@ -55,6 +55,7 @@ type report = {
   tampers : int;  (** transport violations detected and audited *)
   migrations : int;
   rotations : int;  (** audit retention rotations survived *)
+  kick_faults : int;  (** notifications dropped or duplicated by the injector *)
   attempts_by_kind : (string * int) list;  (** attack attempts per adversary, sorted *)
   wins_by_kind : (string * int) list;  (** adversary wins per kind — must be [] *)
   violations : string list;  (** empty iff the invariant bundle held *)
@@ -64,7 +65,7 @@ val ok : report -> bool
 
 val pp_report : Format.formatter -> report -> unit
 
-val run_trace : ?seed:int -> trace -> report
+val run_trace : ?seed:int -> ?kick_faults:float -> trace -> report
 (** Build a fresh full-stack improved host (victim + bystander guests,
     lanes, batching, index, guard cache, supervisor, freshness, anchored
     rotating audit), run the schedule, then check the invariant bundle:
@@ -77,9 +78,21 @@ val run_trace : ?seed:int -> trace -> report
     - detected tampers all audited; audit chain verifies against the
       hardware anchor across retention rotation;
     - tampered migration streams refused, refusals audited at the
-      destination, source back to [Active].
+      destination, source back to [Active];
+    - pump liveness: every admitted request is served within
+      {!max_wait_rounds} pump rounds, and once an exchange has been
+      answered no connected ring still holds an unconsumed request.
 
-    Violations are reported, not raised. *)
+    [kick_faults] drops and duplicates that share of event-channel
+    notifications in both directions (default: none). A dropped
+    response kick makes the self-healing frontend re-send an executed
+    command, so under it only the liveness and conservation invariants
+    are meaningful; the shadow-model ones assume exactly-once delivery.
+
+    Violations are reported, not raised; liveness ones start with
+    ["pump liveness"]. *)
+
+val max_wait_rounds : int
 
 val max_migrations_per_trace : int
 

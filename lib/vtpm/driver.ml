@@ -113,6 +113,10 @@ type backend = {
   mutable validate_transport : bool;
   mutable on_transport_tamper : Domain.domid -> string -> unit;
   mutable transport_tampers : int;
+  mutable ring_visits : int; (* rings validated and drained by the pump *)
+  mutable swept_version : int;
+      (* grant-table version when the last full sweep began; -1 forces
+         the next kicked pump to sweep *)
   mutable lane_sink : Domain.domid -> (float -> unit) option;
       (* per-request residue redirection: when this yields a sink for the
          serving frontend, the whole exchange (ring trip, XenStore reads,
@@ -147,10 +151,16 @@ let create_backend ?resilience ~xen ~be_domid ~router () =
     validate_transport = false;
     on_transport_tamper = (fun _ _ -> ());
     transport_tampers = 0;
+    ring_visits = 0;
+    swept_version = -1;
     lane_sink = (fun _ -> None);
   }
 
-let set_validate_transport (backend : backend) v = backend.validate_transport <- v
+(* Validation changes what a visit checks, so the next kick sweeps: a
+   grant tampered with while validation was off is caught on it. *)
+let set_validate_transport (backend : backend) v =
+  backend.validate_transport <- v;
+  backend.swept_version <- -1
 let validate_transport (backend : backend) = backend.validate_transport
 let set_on_transport_tamper (backend : backend) f = backend.on_transport_tamper <- f
 let transport_tamper_count (backend : backend) = backend.transport_tampers
@@ -337,98 +347,129 @@ let restart_backend (backend : backend) =
     backend.on_restart ()
   end
 
-(* Backend pump: drain every connected ring, route, respond. The sender
+(* Backend pump: drain connected rings, route, respond. The sender
    identity passed to the router is the ring's frontend — recorded by the
    hypervisor-mediated connect, unforgeable from inside the frame.
 
    Fault surface: each popped slot passes through the injector (corruption
    and truncation land here, and are caught by the v2 frame CRC), and the
    manager can crash under us — the popped request dies with it,
-   unexecuted, which is what makes crash recovery crash-consistent. *)
-let process_pending (backend : backend) : int =
-  let processed = ref 0 in
+   unexecuted, which is what makes crash recovery crash-consistent.
+
+   One visit validates a ring's grant and drains the ring. [process_pending]
+   visits every connected ring (the sweep); [process_kicked], which a
+   frontend's kick runs, visits only the rings a sweep would not find idle:
+   rings with unconsumed requests ([Ring.has_unconsumed_requests]), or
+   every ring once the grant table has changed since the last sweep
+   began. A visit to any other ring validates an unchanged grant and pops
+   nothing, so it draws no fault, routes nothing and audits nothing:
+   skipping it leaves the result identical. *)
+let visit (backend : backend) (conn : connection) ~processed =
   let faults = backend.xen.Hypervisor.faults in
-  (try
-     List.iter
-       (fun conn ->
-         if conn.connected && backend.alive then begin
-           (* Grant-level integrity first: a remapped, revoked or vanished
-              ring grant means every frame on the page is suspect — tear
-              the link (a resilient frontend reconnects with a fresh
-              grant; the in-flight request fails with an audited denial). *)
-           let grant_ok =
-             (not backend.validate_transport)
-             ||
-             match transport_ok backend conn with
-             | Ok () -> true
-             | Error reason ->
-                 transport_tamper backend conn reason;
-                 conn.connected <- false;
-                 false
-           in
-           if grant_ok then begin
-             (* Validated pop when hardening is on: an index/queue
-                divergence is audited once, the indices re-derived from
-                the genuine frames, and the drain continues — the
-                victim's real requests still get served. *)
-             let pop () =
-               if not backend.validate_transport then Ring.pop_request conn.ring
-               else
-                 match Ring.pop_request_validated conn.ring with
-                 | Ok s -> s
-                 | Error reason -> (
-                     transport_tamper backend conn reason;
-                     Ring.sanitize_indices conn.ring;
-                     match Ring.pop_request_validated conn.ring with
-                     | Ok s -> s
-                     | Error _ -> None)
-             in
-             let rec drain () =
-               match pop () with
-               | None -> ()
-               | Some { Ring.id; payload; pusher } ->
-                   if Faults.fire faults Faults.Manager_crash then begin
-                     crash_backend backend;
-                     raise Exit
-                   end;
-                   let sender = Ring.frontend conn.ring in
-                   if backend.validate_transport && pusher <> sender then begin
-                     (* Injected frame: the page says someone other than
-                        the ring's frontend wrote it. Refuse to route it
-                        (a Denied response fills the slot so the id cannot
-                        be replayed) and keep draining genuine frames. *)
-                     transport_tamper backend conn
-                       (Printf.sprintf "injected ring frame from domain %d" pusher);
-                     ignore
-                       (Ring.push_response conn.ring ~id
-                          (Proto.encode_response Proto.Denied "injected ring frame rejected"));
-                     drain ()
-                   end
-                   else begin
-                     incr processed;
-                     let payload = Faults.maybe_mutate faults payload in
-                     let reply =
-                       match Proto.decode_request payload with
-                       | Error m -> Proto.encode_response Proto.Bad_frame m
-                       | Ok (claimed_instance, wire) -> (
-                           match backend.router ~sender ~claimed_instance ~wire with
-                           | Ok resp_wire -> Proto.encode_response Proto.Ok_routed resp_wire
-                           | Error reason -> Proto.encode_response Proto.Denied reason)
-                     in
-                     (match Ring.push_response conn.ring ~id reply with
-                     | Ok () ->
-                         ignore
-                           (Hypervisor.notify backend.xen ~domid:conn.be_domid ~port:conn.be_port)
-                     | Error _ -> () (* response ring full: drop, frontend times out *));
-                     drain ()
-                   end
-             in
-             drain ()
-           end
-         end)
-       backend.connections
-   with Exit -> ());
+  backend.ring_visits <- backend.ring_visits + 1;
+  (* Grant-level integrity first: a remapped, revoked or vanished ring
+     grant means every frame on the page is suspect — tear the link (a
+     resilient frontend reconnects with a fresh grant; the in-flight
+     request fails with an audited denial). *)
+  let grant_ok =
+    (not backend.validate_transport)
+    ||
+    match transport_ok backend conn with
+    | Ok () -> true
+    | Error reason ->
+        transport_tamper backend conn reason;
+        conn.connected <- false;
+        false
+  in
+  if grant_ok then begin
+    (* Validated pop when hardening is on: an index/queue divergence is
+       audited once, the indices re-derived from the genuine frames, and
+       the drain continues — the victim's real requests still get
+       served. *)
+    let pop () =
+      if not backend.validate_transport then Ring.pop_request conn.ring
+      else
+        match Ring.pop_request_validated conn.ring with
+        | Ok s -> s
+        | Error reason -> (
+            transport_tamper backend conn reason;
+            Ring.sanitize_indices conn.ring;
+            match Ring.pop_request_validated conn.ring with
+            | Ok s -> s
+            | Error _ -> None)
+    in
+    let rec drain () =
+      match pop () with
+      | None -> ()
+      | Some { Ring.id; payload; pusher } ->
+          if Faults.fire faults Faults.Manager_crash then begin
+            crash_backend backend;
+            raise Exit
+          end;
+          let sender = Ring.frontend conn.ring in
+          if backend.validate_transport && pusher <> sender then begin
+            (* Injected frame: the page says someone other than the
+               ring's frontend wrote it. Refuse to route it (a Denied
+               response fills the slot so the id cannot be replayed)
+               and keep draining genuine frames. *)
+            transport_tamper backend conn
+              (Printf.sprintf "injected ring frame from domain %d" pusher);
+            ignore
+              (Ring.push_response conn.ring ~id
+                 (Proto.encode_response Proto.Denied "injected ring frame rejected"));
+            drain ()
+          end
+          else begin
+            incr processed;
+            let payload = Faults.maybe_mutate faults payload in
+            let reply =
+              match Proto.decode_request payload with
+              | Error m -> Proto.encode_response Proto.Bad_frame m
+              | Ok (claimed_instance, wire) -> (
+                  match backend.router ~sender ~claimed_instance ~wire with
+                  | Ok resp_wire -> Proto.encode_response Proto.Ok_routed resp_wire
+                  | Error reason -> Proto.encode_response Proto.Denied reason)
+            in
+            (match Ring.push_response conn.ring ~id reply with
+            | Ok () ->
+                ignore (Hypervisor.notify backend.xen ~domid:conn.be_domid ~port:conn.be_port)
+            | Error _ -> () (* response ring full: drop, frontend times out *));
+            drain ()
+          end
+    in
+    drain ()
+  end
+
+(* [sweep] visits every connected ring. Without it a ring is skipped while
+   it is idle and the grant table still reads the version recorded when
+   the last sweep began. Only a visit runs the router, which can move the
+   version; from then on every ring is visited, as in a sweep. *)
+let serve (backend : backend) ~sweep : int =
+  let processed = ref 0 in
+  let rec walk all = function
+    | [] -> ()
+    | conn :: rest ->
+        if conn.connected && backend.alive && (all || Ring.has_unconsumed_requests conn.ring)
+        then begin
+          visit backend conn ~processed;
+          walk (all || Hypervisor.grant_version backend.xen <> backend.swept_version) rest
+        end
+        else walk all rest
+  in
+  (try walk sweep backend.connections with Exit -> ());
   !processed
+
+let process_pending (backend : backend) : int =
+  (* The version at the start, not the end: a grant changed mid-sweep may
+     concern a ring already visited, so the next kick sweeps again. *)
+  backend.swept_version <- Hypervisor.grant_version backend.xen;
+  serve backend ~sweep:true
+
+let process_kicked (backend : backend) : int =
+  if Hypervisor.grant_version backend.xen <> backend.swept_version then process_pending backend
+  else serve backend ~sweep:false
+
+let ring_visits (backend : backend) = backend.ring_visits
 
 (* --- Frontend-side synchronous exchange --------------------------------- *)
 
@@ -483,7 +524,7 @@ let send_attempt (backend : backend) (conn : connection) ~frame ~prev =
       let kicked =
         Evtchn.poll xen.Hypervisor.evtchn ~domid:conn.be_domid ~port:conn.be_port <> None
       in
-      if kicked then ignore (process_pending backend);
+      if kicked then ignore (process_kicked backend);
       Ok id
 
 let read_claimed_instance (backend : backend) (conn : connection) =

@@ -90,6 +90,11 @@ type backend = {
       (** audit hook: the monitor logs detected transport tampering as a
           denial against the affected frontend *)
   mutable transport_tampers : int;  (** violations detected so far *)
+  mutable ring_visits : int;  (** rings validated and drained by the pump *)
+  mutable swept_version : int;
+      (** {!Vtpm_xen.Hypervisor.grant_version} when the last
+          {!process_pending} sweep began; [-1] makes the next
+          {!process_kicked} sweep *)
   mutable lane_sink : Vtpm_xen.Domain.domid -> (float -> unit) option;
       (** per-request residue redirection: when this yields a sink for
           the serving frontend, the exchange's serial residue (ring
@@ -106,7 +111,9 @@ val create_backend :
 val set_validate_transport : backend -> bool -> unit
 (** Enable/disable transport-integrity validation. Off by default — the
     trusting 2006 backend; legitimate traffic is bit-identical either way
-    (the checks are pure table lookups, charging no simulated time). *)
+    (the checks are pure table lookups, charging no simulated time). The
+    next kicked pump is a full sweep, so grants changed while validation
+    was off are checked. *)
 
 val validate_transport : backend -> bool
 
@@ -162,12 +169,24 @@ val restart_backend : backend -> unit
     checkpoint layer's restore hook. Frontends must still {!reconnect}. *)
 
 val process_pending : backend -> int
-(** Drain every connected ring, route, respond; returns the number of
-    requests processed. The sender passed to the router is the ring's
-    recorded frontend — unforgeable from inside a frame. Popped slots pass
-    through the fault injector (corruption lands here); an injected
-    manager crash kills the backend mid-drain, dropping the popped request
-    unexecuted. *)
+(** The sweep: validate and drain every connected ring, route, respond;
+    returns the number of requests processed. The sender passed to the
+    router is the ring's recorded frontend — unforgeable from inside a
+    frame. Popped slots pass through the fault injector (corruption lands
+    here); an injected manager crash kills the backend mid-drain, dropping
+    the popped request unexecuted. Records the grant-table version for
+    {!process_kicked}. *)
+
+val process_kicked : backend -> int
+(** The pump a frontend's kick runs: same result as {!process_pending},
+    visiting fewer rings. If the grant table changed since the last sweep
+    began, it is that sweep. Otherwise it visits, in [connections] order,
+    only the rings with unconsumed requests
+    ({!Vtpm_xen.Ring.has_unconsumed_requests}) — a visit to any other ring
+    would find its unchanged grant valid and pop nothing. *)
+
+val ring_visits : backend -> int
+(** Rings validated and drained so far, by either pump. *)
 
 type outcome = {
   status : Proto.status;

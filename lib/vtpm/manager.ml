@@ -176,18 +176,19 @@ let find t vtpm_id : (instance, Vtpm_util.Verror.t) result =
   | Some i -> Ok i
   | None -> Vtpm_util.Verror.no_such "vTPM instance %d" vtpm_id
 
-let create_instance t : instance =
+(* Install an engine as a new instance. The id and key-seed step are
+   taken whether or not the engine was minted here, so a migration import
+   (which carries its engine, EK included) leaves every later instance's
+   keys where they would be. *)
+let adopt t ~engine ~state : instance =
   let vtpm_id = t.next_id in
   t.next_id <- t.next_id + 1;
   t.seed <- t.seed + 7919;
-  let engine = Engine.create ~rsa_bits:t.rsa_bits ~seed:t.seed () in
-  let resp = Engine.execute engine ~locality:4 (Cmd.Startup Types.St_clear) in
-  assert (resp.Cmd.rc = Types.tpm_success);
   let inst =
     {
       vtpm_id;
       engine;
-      state = Active;
+      state;
       bound_domid = None;
       group_id = 0;
       created_at = Vtpm_util.Cost.now t.cost;
@@ -196,6 +197,12 @@ let create_instance t : instance =
   Hashtbl.replace t.instances vtpm_id inst;
   Vtpm_util.Cost.charge t.cost Vtpm_util.Cost.vtpm_attach_us;
   inst
+
+let create_instance t : instance =
+  let engine = Engine.create ~rsa_bits:t.rsa_bits ~seed:(t.seed + 7919) () in
+  let resp = Engine.execute engine ~locality:4 (Cmd.Startup Types.St_clear) in
+  assert (resp.Cmd.rc = Types.tpm_success);
+  adopt t ~engine ~state:Active
 
 (* --- Domain binding and the domid index ---------------------------------- *)
 

@@ -56,6 +56,13 @@ val create : ?rsa_bits:int -> seed:int -> cost:Vtpm_util.Cost.t -> unit -> t
 val find : t -> int -> (instance, Vtpm_util.Verror.t) result
 val create_instance : t -> instance
 
+val adopt : t -> engine:Vtpm_tpm.Engine.t -> state:instance_state -> instance
+(** Install a carried engine (a migration import) as a new instance in
+    [state]. Takes the id and key-seed step {!create_instance} would and
+    charges the same attach cost, so later instances' keys and the
+    simulated clock are as if {!create_instance} had run, but no key is
+    generated: the engine keeps the EK it arrived with. *)
+
 val destroy_instance : t -> int -> unit
 (** Removes the instance and its domid-index entry. *)
 

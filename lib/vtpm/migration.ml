@@ -203,10 +203,7 @@ let import_state mgr ?fresh ~(state : Manager.instance_state) (stream : string) 
             match freshness_ok with
             | Error m -> Error m
             | Ok () ->
-                let inst = Manager.create_instance mgr in
-                let inst = { inst with Manager.engine; state } in
-                Manager.install_instance mgr inst;
-                Ok inst))
+                Ok (Manager.adopt mgr ~engine ~state)))
   end
 
 let import mgr ?fresh (stream : string) : (Manager.instance, string) result =

@@ -20,11 +20,21 @@ type grant = {
   mutable revoked : bool;
 }
 
-type t = { grants : (Domain.domid * gref, grant) Hashtbl.t; next_ref : (Domain.domid, int) Hashtbl.t }
+type t = {
+  grants : (Domain.domid * gref, grant) Hashtbl.t;
+  next_ref : (Domain.domid, int) Hashtbl.t;
+  mutable version : int; (* bumped by every mutation of [grants] *)
+}
 
-let create () = { grants = Hashtbl.create 32; next_ref = Hashtbl.create 8 }
+let create () = { grants = Hashtbl.create 32; next_ref = Hashtbl.create 8; version = 0 }
+
+(* A mapping side that checked every grant it cares about at version v
+   knows none of them has changed while the version still reads v. *)
+let version t = t.version
+let bump t = t.version <- t.version + 1
 
 let grant_access t ~owner ~grantee ~frame ~access : gref =
+  bump t;
   let r = Option.value ~default:1 (Hashtbl.find_opt t.next_ref owner) in
   Hashtbl.replace t.next_ref owner (r + 1);
   Hashtbl.replace t.grants (owner, r)
@@ -42,6 +52,7 @@ let map t ~caller ~owner ~gref : (int * access, string) result =
       else if g.grantee <> caller then
         Error (Printf.sprintf "grant %d from domain %d is for domain %d, not %d" gref owner g.grantee caller)
       else begin
+        bump t;
         g.in_use <- true;
         Ok (g.frame, g.access)
       end
@@ -60,6 +71,7 @@ let unmap t ~caller ~owner ~gref : (unit, string) result =
       else if not g.in_use then
         Error (Printf.sprintf "grant %d from domain %d is not mapped" gref owner)
       else begin
+        bump t;
         g.in_use <- false;
         Ok ()
       end
@@ -73,6 +85,7 @@ let revoke t ~owner ~gref : (unit, string) result =
   | Some g ->
       if g.in_use then Error "grant still mapped by grantee"
       else begin
+        bump t;
         g.revoked <- true;
         Ok ()
       end
@@ -86,6 +99,7 @@ let force_revoke t ~owner ~gref : (unit, string) result =
   match Hashtbl.find_opt t.grants (owner, gref) with
   | None -> Error "no such grant"
   | Some g ->
+      bump t;
       g.revoked <- true;
       Ok ()
 
@@ -98,6 +112,7 @@ let remap t ~owner ~gref ~frame : (unit, string) result =
   match Hashtbl.find_opt t.grants (owner, gref) with
   | None -> Error "no such grant"
   | Some g ->
+      bump t;
       Hashtbl.replace t.grants (owner, gref) { g with frame };
       Ok ()
 
@@ -110,4 +125,5 @@ let inspect t ~owner ~gref : (int * bool * bool) option =
     (Hashtbl.find_opt t.grants (owner, gref))
 
 let revoke_all_for t domid =
+  bump t;
   Hashtbl.iter (fun _ g -> if g.owner = domid || g.grantee = domid then g.revoked <- true) t.grants

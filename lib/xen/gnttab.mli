@@ -12,6 +12,11 @@ type t
 
 val create : unit -> t
 
+val version : t -> int
+(** Bumped by every mutation: grant, map, unmap, revoke, force-revoke,
+    remap and {!revoke_all_for}. While it is unchanged, every
+    {!inspect} answer is unchanged too. *)
+
 val grant_access : t -> owner:Domain.domid -> grantee:Domain.domid -> frame:int -> access:access -> gref
 
 val map : t -> caller:Domain.domid -> owner:Domain.domid -> gref:gref -> (int * access, string) result

@@ -199,6 +199,7 @@ let force_revoke_grant t ~caller ~owner ~gref =
   else Gnttab.force_revoke t.gnttab ~owner ~gref
 
 let grant_backing t ~owner ~gref = Gnttab.inspect t.gnttab ~owner ~gref
+let grant_version t = Gnttab.version t.gnttab
 
 (* XenStore access, charged to the simulated clock. Transient injected
    failures surface as EAGAIN — the error real xenstore clients already

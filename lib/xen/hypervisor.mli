@@ -104,6 +104,10 @@ val grant_backing :
   t -> owner:Domain.domid -> gref:Gnttab.gref -> (int * bool * bool) option
 (** [(frame, in_use, revoked)] for a grant — the mapping side's view. *)
 
+val grant_version : t -> int
+(** {!Gnttab.version} of the grant table: unchanged means no grant was
+    created, mapped, unmapped, revoked or remapped since it was read. *)
+
 (** {1 XenStore access (charged to the simulated clock)} *)
 
 val xs_read : t -> caller:Domain.domid -> string -> (string, Xenstore.error) result

@@ -71,6 +71,11 @@ let pending_responses t = Queue.length t.responses
 let req_prod t = t.req_prod
 let req_cons t = t.req_cons
 
+(* RING_HAS_UNCONSUMED_REQUESTS. While it is false, either pop returns
+   nothing and changes nothing, and only a producer-side write
+   ([push_slot], [corrupt_req_prod]) can make it true again. *)
+let has_unconsumed_requests t = t.req_prod <> t.req_cons || not (Queue.is_empty t.requests)
+
 (* Frontend side *)
 
 let push_slot t (s : slot) : (int, string) result =

@@ -42,6 +42,13 @@ val req_prod : t -> int
 
 val req_cons : t -> int
 
+val has_unconsumed_requests : t -> bool
+(** Whether the backend has anything to consume: the indices disagree or
+    frames are queued (Xen's [RING_HAS_UNCONSUMED_REQUESTS]). While it is
+    false, {!pop_request} and {!pop_request_validated} return nothing and
+    change nothing, and only a producer-side write ({!push_request},
+    {!inject_request}, {!corrupt_req_prod}) can make it true. *)
+
 (** {1 Frontend side} *)
 
 val push_request : t -> string -> (int, string) result

@@ -14,6 +14,7 @@ let () =
       ("anchor", Test_anchor.suite);
       ("attacks", Test_attacks.suite);
       ("fuzz", Test_fuzz.suite);
+      ("pump", Test_pump.suite);
       ("overload", Test_overload.suite);
       ("sim", Test_sim.suite);
       ("perf", Test_perf.suite);

@@ -72,6 +72,34 @@ let test_fresh_roundtrip_byte_fidelity () =
       check_i "accepted counted" 1 (Freshness.accepted fdst)
   | Error m -> Alcotest.fail m
 
+(* Import installs the carried engine without minting a key of its own,
+   yet takes the same id, key seed and attach charge a fresh instance
+   would: the next instance on the destination gets the EK it got when
+   import still created (and discarded) one, and the clock agrees. *)
+let test_import_adopts_engine () =
+  let src = mk_manager ~seed:13 () in
+  let dst = mk_manager ~seed:14 () in
+  let inst = provisioned_instance src in
+  let stream =
+    Result.get_ok
+      (Migration.export src inst ~mode:Migration.Protected
+         ~dest_key:(Some (Migration.bind_pubkey dst)))
+  in
+  let t0 = Vtpm_util.Cost.now dst.Manager.cost in
+  match Migration.import dst stream with
+  | Error m -> Alcotest.fail m
+  | Ok imported ->
+      check_s "EK fingerprint carried" (Freshness.lineage inst.Manager.engine)
+        (Freshness.lineage imported.Manager.engine);
+      check_s "PCRs carried" (pcr9 inst.Manager.engine) (pcr9 imported.Manager.engine);
+      Alcotest.(check (float 1e-6))
+        "import charge unchanged" 21059.434
+        (Float.round ((Vtpm_util.Cost.now dst.Manager.cost -. t0) *. 1000.0) /. 1000.0);
+      let next = Manager.create_instance dst in
+      check_i "next id" 2 next.Manager.vtpm_id;
+      check_s "next instance's EK unchanged" "d6c1edd95d508a81e877556b0b16494db540fad6"
+        (Vtpm_util.Hex.encode (Freshness.lineage next.Manager.engine))
+
 (* --- Envelope integrity ------------------------------------------------------------ *)
 
 let test_wrong_destination_key () =
@@ -325,6 +353,7 @@ let suite =
   [
     Alcotest.test_case "round-trip byte fidelity (v0/v1)" `Quick test_roundtrip_byte_fidelity;
     Alcotest.test_case "round-trip byte fidelity (v2 fresh)" `Quick test_fresh_roundtrip_byte_fidelity;
+    Alcotest.test_case "import adopts the carried engine" `Quick test_import_adopts_engine;
     Alcotest.test_case "wrong destination key rejected" `Quick test_wrong_destination_key;
     Alcotest.test_case "truncation and bit flips rejected" `Quick test_envelope_tamper_rejected;
     Alcotest.test_case "downgrade to v1/plaintext rejected" `Quick test_downgrade_rejected;
