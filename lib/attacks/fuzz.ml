@@ -6,7 +6,7 @@
    ring replay, producer-index corruption, grant remap/revoke, rogue
    management calls, migration-stream tampering) driven against the full
    improved stack with every concurrency feature on: execution lanes,
-   batched pumping, the compiled policy index and guard cache, the
+   batched pumping, the compiled policy index, the
    supervisor, freshness-protected migration and a rotating anchored
    audit log.
 
@@ -160,8 +160,6 @@ let run_trace ?(seed = 7) ?kick_faults (trace : trace) : report =
   let m = Host.monitor_exn host in
   let backend = host.Host.backend in
   Manager.set_lanes host.Host.mgr 4;
-  Monitor.set_index_enabled m true;
-  Monitor.set_guard_cache_enabled m true;
   (* Small retention cap so long traces force a rotation under the
      anchor. *)
   Monitor.set_audit_cap m (Some 24);

@@ -7,7 +7,7 @@
     grant remapping and revocation, rogue management calls and
     migration-stream bit-flips — against the full improved stack with
     every concurrency feature enabled (execution lanes, batched pumping,
-    policy index + guard cache, supervisor, freshness-protected
+    policy index, supervisor, freshness-protected
     migration, rotating anchored audit log).
 
     A trace is a plain [(tag, arg)] integer list: total to decode, so
@@ -67,7 +67,7 @@ val pp_report : Format.formatter -> report -> unit
 
 val run_trace : ?seed:int -> ?kick_faults:float -> trace -> report
 (** Build a fresh full-stack improved host (victim + bystander guests,
-    lanes, batching, index, guard cache, supervisor, freshness, anchored
+    lanes, batching, policy index, supervisor, freshness, anchored
     rotating audit), run the schedule, then check the invariant bundle:
 
     - victim PCR 10 equals the shadow model (own served extends only) —

@@ -5,8 +5,9 @@
    1. derives the subject from the hypervisor-attested sender (never from
       the claimed instance number in the frame);
    2. resolves the target instance from the binding table;
-   3. evaluates the policy (with a decision cache for unguarded rules and
-      a PCR-backed measurement gate for guarded ones);
+   3. evaluates the policy through its compiled first-match index (with a
+      decision cache for measurement-independent decisions and a live
+      PCR-backed measurement gate for guarded ones);
    4. appends a hash-chained audit record;
    5. only then lets the manager execute the command.
 
@@ -31,29 +32,22 @@ type stats = {
   mutable transport_tampers : int; (* ring/grant integrity violations detected *)
 }
 
-(* A cached verdict. [gen] is the per-subject measurement generation the
-   decision depended on, or -1 when it is measurement-independent (no
-   guard was consulted) and thus valid forever. *)
-type cached = { c_verdict : Policy.verdict; c_gen : int }
-
 type t = {
   xen : Hypervisor.t;
   mgr : Vtpm_mgr.Manager.t;
   mutable policy : Policy.t;
-  mutable policy_has_guards : bool;
-  mutable index : Policy.index option; (* compiled policy index, opt-in *)
+  mutable index : Policy.index; (* compiled from [policy]: the only evaluator *)
   bindings : Binding.t;
   audit : Audit.t;
   credentials : Subject.Credentials.t;
-  cache : (int * string * int, cached) Hashtbl.t;
-  cached_keys : (int * string, (int, unit) Hashtbl.t) Hashtbl.t;
-      (* subject -> ordinals present in [cache]; lets teardown evict
-         without folding over the whole table *)
-  generations : (int * string, int) Hashtbl.t;
-      (* subject -> measurement generation (absent = 0) *)
+  cache : (Subject.t, (int, Policy.verdict) Hashtbl.t) Hashtbl.t;
+      (* subject -> ordinal -> verdict, measurement-independent verdicts
+         only: a decision that consulted the gate is never cached, so no
+         stale Allow can outlive a kernel swap *)
+  reasons : (int, string) Hashtbl.t;
+      (* rule line -> "rule@<line>" audit reason, formatted once:
+         formatting it per decision took half a gated decision's time *)
   mutable cache_enabled : bool;
-  mutable guard_cache_enabled : bool;
-      (* opt-in: generation-tagged caching for guarded policies *)
   mutable audit_enabled : bool;
   mutable quota : Quota.t option; (* None: no rate limiting *)
   group_quotas : (int, Quota.t) Hashtbl.t;
@@ -74,16 +68,13 @@ let create ~(xen : Hypervisor.t) ~(mgr : Vtpm_mgr.Manager.t) ?(policy = Policy.d
     xen;
     mgr;
     policy;
-    policy_has_guards = Policy.has_guards policy;
-    index = None;
+    index = Policy.compile policy;
     bindings = Binding.create ~cost;
     audit = Audit.create ~cost;
     credentials = Subject.Credentials.create ();
     cache = Hashtbl.create 256;
-    cached_keys = Hashtbl.create 64;
-    generations = Hashtbl.create 64;
+    reasons = Hashtbl.create 16;
     cache_enabled = true;
-    guard_cache_enabled = false;
     audit_enabled = true;
     quota = None;
     group_quotas = Hashtbl.create 8;
@@ -106,54 +97,19 @@ let create ~(xen : Hypervisor.t) ~(mgr : Vtpm_mgr.Manager.t) ?(policy = Policy.d
       };
   }
 
-let reset_cache t =
-  Hashtbl.reset t.cache;
-  Hashtbl.reset t.cached_keys;
-  Hashtbl.reset t.generations
+let reset_cache t = Hashtbl.reset t.cache
 
 let set_policy t policy =
   t.policy <- policy;
-  t.policy_has_guards <- Policy.has_guards policy;
-  (* A policy reload invalidates everything: cached verdicts, the key
-     index, measurement generations and any compiled index. *)
+  (* A policy reload invalidates every cached verdict and recompiles the
+     index. *)
   reset_cache t;
-  if t.index <> None then t.index <- Some (Policy.compile policy)
+  Hashtbl.reset t.reasons;
+  t.index <- Policy.compile policy
 
 let set_cache_enabled t v =
   t.cache_enabled <- v;
   if not v then reset_cache t
-
-(* Opt-in: serve guarded policies from the cache too, tagging each entry
-   with the subject's measurement generation at evaluation time. Entries
-   go stale — and are re-evaluated — exactly when the generation is
-   bumped (PCR extend, rebind, policy reload, or an explicit
-   [bump_measurement]). Off by default: the seed semantics (guarded
-   policy => no caching at all) are preserved bit-for-bit. *)
-let set_guard_cache_enabled t v =
-  t.guard_cache_enabled <- v;
-  if not v then reset_cache t
-
-let guard_cache_enabled t = t.guard_cache_enabled
-
-(* Opt-in: evaluate through the compiled first-match index instead of the
-   linear scan. Decisions are identical ({!Policy.eval_indexed}); the
-   simulated-time charge becomes [monitor_index_lookup_us] plus the
-   (much smaller) candidate scan, so this changes measured latencies and
-   is therefore off by default. *)
-let set_index_enabled t v =
-  if v then t.index <- Some (Policy.compile t.policy) else t.index <- None
-
-let index_enabled t = t.index <> None
-
-let generation_of t sk = Option.value ~default:0 (Hashtbl.find_opt t.generations sk)
-
-(* Advance [subject]'s measurement generation: every cached decision that
-   consulted the measurement gate for this subject goes stale. Called on
-   PCR extend and rebind; exposed for external measurement events the
-   monitor cannot observe (e.g. a kernel swap before re-attestation). *)
-let bump_measurement t (subject : Subject.t) =
-  let sk = Subject.cache_key subject in
-  Hashtbl.replace t.generations sk (generation_of t sk + 1)
 
 let set_audit_enabled t v = t.audit_enabled <- v
 
@@ -247,19 +203,11 @@ let wire_transport_guard t (backend : Vtpm_mgr.Driver.backend) =
           ~subject:(Subject.to_string (Subject.Guest domid))
           ~operation:"transport-tamper" ~instance:None ~allowed:false ~reason)
 
-(* Subject teardown: drop the quota bucket, cached decisions and the
-   measurement generation when a domain is destroyed, so per-subject
-   state never outlives its owner. The per-subject key index makes this
-   O(cached ordinals) instead of a fold over the whole table. *)
+(* Subject teardown: drop the quota bucket and cached decisions when a
+   domain is destroyed, so per-subject state never outlives its owner. *)
 let forget_subject t (subject : Subject.t) =
   (match t.quota with Some q -> Quota.forget q subject | None -> ());
-  let ((kind, skey) as sk) = Subject.cache_key subject in
-  (match Hashtbl.find_opt t.cached_keys sk with
-  | Some ordinals ->
-      Hashtbl.iter (fun ordinal () -> Hashtbl.remove t.cache (kind, skey, ordinal)) ordinals;
-      Hashtbl.remove t.cached_keys sk
-  | None -> ());
-  Hashtbl.remove t.generations sk
+  Hashtbl.remove t.cache subject
 
 let stats t = t.stats
 
@@ -286,10 +234,9 @@ let reset_stats t =
   s.transport_tampers <- 0
 
 (* The measurement gate: the guest's *current* kernel digest must match
-   the reference recorded when the vTPM was bound. *)
-let measured_ok t ~(subject : Subject.t) ~(binding : Binding.binding option) () =
-  t.stats.gate_checks <- t.stats.gate_checks + 1;
-  Vtpm_util.Cost.charge t.xen.Hypervisor.cost Vtpm_util.Cost.monitor_measure_gate_us;
+   the reference recorded when the vTPM was bound. [measured_ok] is the
+   charged, counted gate [decide] consults. *)
+let measurement_matches t ~(subject : Subject.t) ~(binding : Binding.binding option) =
   match (subject, binding) with
   | Subject.Dom0_process _, _ -> true (* gates constrain guests *)
   | Subject.Guest d, Some b -> (
@@ -298,60 +245,58 @@ let measured_ok t ~(subject : Subject.t) ~(binding : Binding.binding option) () 
       | Error _ -> false)
   | Subject.Guest _, None -> false
 
-(* Policy check with decision cache. Returns the verdict and the reason
-   string for the audit trail. *)
+let measured_ok t ~subject ~binding () =
+  t.stats.gate_checks <- t.stats.gate_checks + 1;
+  Vtpm_util.Cost.charge t.xen.Hypervisor.cost Vtpm_util.Cost.monitor_measure_gate_us;
+  measurement_matches t ~subject ~binding
+
+(* Policy check through the compiled index, with the decision cache in
+   front. Only measurement-independent decisions are cached; one that
+   consulted the gate is evaluated live every time, against the kernel
+   digest the domain has now. The simulated charge follows the path
+   taken: a hit pays the lookup; a miss pays the lookup, the index
+   lookup, the candidates scanned and, when consulted, the gate. Returns
+   the verdict and the reason string for the audit trail. *)
 let decide t ~(subject : Subject.t) ~(ordinal : int) ~(binding : Binding.binding option) :
     Policy.verdict * string =
   let s = t.stats in
+  let cost = t.xen.Hypervisor.cost in
   s.lookups <- s.lookups + 1;
-  let ((kind, skey) as sk) = Subject.cache_key subject in
-  let key = (kind, skey, ordinal) in
-  let cacheable = t.cache_enabled && ((not t.policy_has_guards) || t.guard_cache_enabled) in
-  let hit =
-    if cacheable then
-      match Hashtbl.find_opt t.cache key with
-      | Some c when c.c_gen < 0 || c.c_gen = generation_of t sk -> Some c.c_verdict
-      | _ -> None (* absent, or stale generation: re-evaluate *)
-    else None
-  in
-  match hit with
+  let cached = if t.cache_enabled then Hashtbl.find_opt t.cache subject else None in
+  match match cached with Some verdicts -> Hashtbl.find_opt verdicts ordinal | None -> None with
   | Some verdict ->
       s.cache_hits <- s.cache_hits + 1;
-      Vtpm_util.Cost.charge t.xen.Hypervisor.cost Vtpm_util.Cost.monitor_lookup_us;
+      Vtpm_util.Cost.charge cost Vtpm_util.Cost.monitor_lookup_us;
       (verdict, "cached")
   | None ->
       let label = Subject.label ~xen:t.xen subject in
       let measured_ok = measured_ok t ~subject ~binding in
-      let d, scan_overhead_us =
-        match t.index with
-        | Some ix ->
-            ( Policy.eval_indexed ix ~subject ~label ~ordinal ~measured_ok,
-              Vtpm_util.Cost.monitor_index_lookup_us )
-        | None -> (Policy.eval t.policy ~subject ~label ~ordinal ~measured_ok, 0.0)
-      in
+      let d = Policy.eval_indexed t.index ~subject ~label ~ordinal ~measured_ok in
       s.rules_scanned <- s.rules_scanned + d.Policy.scanned;
-      Vtpm_util.Cost.charge t.xen.Hypervisor.cost
-        (Vtpm_util.Cost.monitor_lookup_us +. scan_overhead_us
+      Vtpm_util.Cost.charge cost
+        (Vtpm_util.Cost.monitor_lookup_us +. Vtpm_util.Cost.monitor_index_lookup_us
         +. (Vtpm_util.Cost.monitor_rule_scan_us *. float_of_int d.Policy.scanned));
-      if cacheable then begin
-        (* Measurement-independent decisions cache forever (gen -1);
-           gate-dependent ones are tagged with the generation they saw. *)
-        let gen = if d.Policy.needs_measurement then generation_of t sk else -1 in
-        Hashtbl.replace t.cache key { c_verdict = d.Policy.verdict; c_gen = gen };
-        let ordinals =
-          match Hashtbl.find_opt t.cached_keys sk with
-          | Some set -> set
+      if t.cache_enabled && not d.Policy.needs_measurement then begin
+        let verdicts =
+          match cached with
+          | Some verdicts -> verdicts
           | None ->
-              let set = Hashtbl.create 8 in
-              Hashtbl.replace t.cached_keys sk set;
-              set
+              let verdicts = Hashtbl.create 8 in
+              Hashtbl.replace t.cache subject verdicts;
+              verdicts
         in
-        Hashtbl.replace ordinals ordinal ()
+        Hashtbl.replace verdicts ordinal d.Policy.verdict
       end;
       let reason =
         match d.Policy.matched_line with
-        | Some l -> Printf.sprintf "rule@%d" l
         | None -> "default"
+        | Some l -> (
+            match Hashtbl.find_opt t.reasons l with
+            | Some r -> r
+            | None ->
+                let r = "rule@" ^ string_of_int l in
+                Hashtbl.replace t.reasons l r;
+                r)
       in
       (d.Policy.verdict, reason)
 
@@ -488,11 +433,6 @@ let router t : Vtpm_mgr.Driver.router =
               let reason = reason ^ gtag in
               audit_and_count t ~subject ~operation:op_name ~instance:(Some b.Binding.vtpm_id)
                 ~allowed:true ~reason;
-              (* A PCR-mutating command changes what the measurement gate
-                 will see: advance the sender's generation so tagged
-                 cache entries are re-evaluated. *)
-              if ordinal = Vtpm_tpm.Types.ord_extend || ordinal = Vtpm_tpm.Types.ord_pcr_reset
-              then bump_measurement t subject;
               match t.supervisor with
               | Some sup -> (
                   match Vtpm_mgr.Supervisor.execute sup ~vtpm_id:b.Binding.vtpm_id ~wire with
@@ -627,11 +567,7 @@ let management t ~(process : string) ~(token : string) (op : management_op) :
                 Ok M_unit)
         | Rebind { vtpm_id; new_domid } -> (
             (match Binding.lookup_instance t.bindings vtpm_id with
-            | Some b ->
-                Binding.unbind t.bindings ~domid:b.Binding.domid;
-                (* The old subject's gate decisions referred to the now
-                   dropped binding. *)
-                bump_measurement t (Subject.Guest b.Binding.domid)
+            | Some b -> Binding.unbind t.bindings ~domid:b.Binding.domid
             | None -> ());
             match Hypervisor.find_domain t.xen new_domid with
             | Error e -> Error e
@@ -640,11 +576,7 @@ let management t ~(process : string) ~(token : string) (op : management_op) :
                   Binding.bind t.bindings ~vtpm_id ~domid:new_domid
                     ~reference_measurement:dom.Domain.kernel_digest
                 with
-                | Ok _ ->
-                    (* The new subject now gates against a fresh reference
-                       measurement. *)
-                    bump_measurement t (Subject.Guest new_domid);
-                    Ok M_unit
+                | Ok _ -> Ok M_unit
                 | Error e -> Error (Vtpm_util.Verror.to_string e)))
         | Export_audit -> Ok (M_audit (Audit.entries t.audit)))
   end

@@ -5,8 +5,10 @@
     + derives the subject from the hypervisor-attested sender (never from
       the claimed instance number in the frame);
     + resolves the target instance from the binding table;
-    + evaluates the policy — decision cache for unguarded rules,
-      PCR-backed measurement gate for guarded ones;
+    + evaluates the policy through its compiled first-match index
+      ({!Policy.eval_indexed}) — decision cache for
+      measurement-independent decisions, live PCR-backed measurement gate
+      for guarded ones;
     + optionally applies a per-subject rate limit;
     + appends a hash-chained audit record;
     + only then lets the manager execute the command.
@@ -31,24 +33,19 @@ type stats = {
       (** ring/grant integrity violations detected by the driver *)
 }
 
-type cached = { c_verdict : Policy.verdict; c_gen : int }
-(** A cached verdict; [c_gen] is the per-subject measurement generation
-    it depended on, or [-1] when measurement-independent. *)
-
 type t = {
   xen : Vtpm_xen.Hypervisor.t;
   mgr : Vtpm_mgr.Manager.t;
   mutable policy : Policy.t;
-  mutable policy_has_guards : bool;
-  mutable index : Policy.index option;
+  mutable index : Policy.index;  (** compiled from [policy] *)
   bindings : Binding.t;
   audit : Audit.t;
   credentials : Subject.Credentials.t;
-  cache : (int * string * int, cached) Hashtbl.t;
-  cached_keys : (int * string, (int, unit) Hashtbl.t) Hashtbl.t;
-  generations : (int * string, int) Hashtbl.t;
+  cache : (Subject.t, (int, Policy.verdict) Hashtbl.t) Hashtbl.t;
+      (** subject -> ordinal -> verdict; measurement-independent verdicts
+          only *)
+  reasons : (int, string) Hashtbl.t;  (** rule line -> formatted audit reason *)
   mutable cache_enabled : bool;
-  mutable guard_cache_enabled : bool;
   mutable audit_enabled : bool;
   mutable quota : Quota.t option;
   group_quotas : (int, Quota.t) Hashtbl.t;
@@ -64,37 +61,11 @@ val create :
 (** {1 Configuration} *)
 
 val set_policy : t -> Policy.t -> unit
-(** Installs a new policy and invalidates the decision cache. *)
+(** Installs a new policy, compiles its index and invalidates the
+    decision cache. *)
 
 val set_cache_enabled : t -> bool -> unit
 val set_audit_enabled : t -> bool -> unit
-
-val set_index_enabled : t -> bool -> unit
-(** Opt-in: evaluate through the compiled first-match policy index
-    ({!Policy.compile}) instead of the linear scan. Decisions are
-    identical; the simulated-time charge becomes
-    {!Vtpm_util.Cost.monitor_index_lookup_us} plus the (much smaller)
-    candidate scan, so the default — off — keeps the seed cost model
-    bit-identical. *)
-
-val index_enabled : t -> bool
-
-val set_guard_cache_enabled : t -> bool -> unit
-(** Opt-in: serve guarded policies from the decision cache, tagging each
-    gate-dependent entry with the subject's measurement generation.
-    Entries go stale — and are re-evaluated — exactly when the generation
-    advances: PCR extend, rebind, policy reload, or an explicit
-    {!bump_measurement}. Off by default: the seed semantics (guarded
-    policy means no caching at all) are preserved. *)
-
-val guard_cache_enabled : t -> bool
-
-val bump_measurement : t -> Subject.t -> unit
-(** Advance the subject's measurement generation, invalidating every
-    cached decision that consulted the measurement gate for it. The
-    monitor calls this itself on PCR-mutating commands and on rebind;
-    call it directly for measurement events it cannot observe (e.g. a
-    kernel swap before re-attestation). *)
 
 val set_quota : t -> rate_per_s:float -> burst:float -> unit
 (** Enable token-bucket rate limiting for all mediated requests. *)
@@ -147,9 +118,9 @@ val wire_transport_guard : t -> Vtpm_mgr.Driver.backend -> unit
     against the affected frontend, counted in {!stats}. *)
 
 val forget_subject : t -> Subject.t -> unit
-(** Teardown when a domain is destroyed: drop the subject's quota bucket,
-    cached decisions (via the per-subject key index — no whole-table
-    fold) and measurement generation. *)
+(** Teardown when a domain is destroyed: drop the subject's quota bucket
+    and its cached decisions (one table per subject — no whole-table
+    fold). *)
 
 val enable_tamper_detection : t -> unit
 (** Watch the vTPM device subtree in XenStore: any rewrite of an
@@ -181,7 +152,15 @@ val shard_stats : t -> (int * string * int * (int * float) array) list
 val decide :
   t -> subject:Subject.t -> ordinal:int -> binding:Binding.binding option ->
   Policy.verdict * string
-(** The policy step alone: verdict plus the audit reason. *)
+(** The policy step alone: verdict plus the audit reason. A decision
+    that consulted the measurement gate is never cached: it is
+    re-evaluated on every request against the domain's current kernel
+    digest. *)
+
+val measurement_matches : t -> subject:Subject.t -> binding:Binding.binding option -> bool
+(** The measurement gate's predicate, uncharged and uncounted: a guest's
+    current kernel digest equals its binding's reference measurement
+    (dom0 processes always pass). *)
 
 (** {1 The wire-request router} *)
 

@@ -117,7 +117,9 @@ let has_guards (t : t) = Array.exists (fun r -> r.guard <> G_none) t.rules
 
 type bucket = {
   members : int array; (* rule indices, ascending *)
-  by_ordinal : (int, int array) Hashtbl.t; (* memoised ordinal -> candidates *)
+  mutable by_ordinal : (int, int array) Hashtbl.t option;
+      (* memoised ordinal -> candidates, allocated on the first lookup:
+         most exact-subject buckets of a large policy are never queried *)
 }
 
 type index = {
@@ -127,14 +129,11 @@ type index = {
   by_label : (string, bucket) Hashtbl.t;
   guest_rest : bucket; (* S_guest_any and S_any *)
   dom0_rest : bucket; (* S_dom0_any and S_any *)
-  empty_bucket : bucket; (* shared: absent exact/label keys *)
 }
 
 let indexed_policy ix = ix.policy
 
-let bucket_of_rev_indices rev =
-  let members = Array.of_list (List.rev rev) in
-  { members; by_ordinal = Hashtbl.create 8 }
+let bucket_of_rev_indices rev = { members = Array.of_list (List.rev rev); by_ordinal = None }
 
 let compile (t : t) : index =
   let guest_acc : (Vtpm_xen.Domain.domid, int list) Hashtbl.t = Hashtbl.create 16 in
@@ -168,89 +167,86 @@ let compile (t : t) : index =
     by_label = finish label_acc;
     guest_rest = bucket_of_rev_indices !guest_rest;
     dom0_rest = bucket_of_rev_indices !dom0_rest;
-    empty_bucket = { members = [||]; by_ordinal = Hashtbl.create 1 };
   }
 
+let filter_candidates (t : t) (b : bucket) ~ordinal =
+  let n = Array.length b.members in
+  let tmp = Array.make n 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let ri = b.members.(i) in
+    if command_matches t.rules.(ri).command ~ordinal then begin
+      tmp.(!k) <- ri;
+      incr k
+    end
+  done;
+  Array.sub tmp 0 !k
+
 let bucket_candidates (t : t) (b : bucket) ~ordinal =
-  match Hashtbl.find_opt b.by_ordinal ordinal with
+  let memo =
+    match b.by_ordinal with
+    | Some memo -> memo
+    | None ->
+        let memo = Hashtbl.create 8 in
+        b.by_ordinal <- Some memo;
+        memo
+  in
+  match Hashtbl.find_opt memo ordinal with
   | Some a -> a
   | None ->
-      let n = Array.length b.members in
-      let tmp = Array.make n 0 in
-      let k = ref 0 in
-      for i = 0 to n - 1 do
-        let ri = b.members.(i) in
-        if command_matches t.rules.(ri).command ~ordinal then begin
-          tmp.(!k) <- ri;
-          incr k
-        end
-      done;
-      let a = Array.sub tmp 0 !k in
-      Hashtbl.replace b.by_ordinal ordinal a;
+      let a = filter_candidates t b ~ordinal in
+      Hashtbl.replace memo ordinal a;
       a
+
+let no_candidates : int array = [||]
+
+let candidates t tbl key ~ordinal =
+  match Hashtbl.find_opt tbl key with
+  | Some b -> bucket_candidates t b ~ordinal
+  | None -> no_candidates
 
 (* Identical decision to [eval] (differential-tested), but [scanned] is
    the number of candidate rules examined — never more than the linear
-   scan, and typically constant in total policy size. *)
+   scan, and typically constant in total policy size. The three candidate
+   arrays are disjoint (a rule lives in one bucket per subject kind), so
+   merging them by smallest head visits candidates in rule order and
+   first-match semantics, guarded fallthrough included, carry over. *)
 let eval_indexed (ix : index) ~(subject : Subject.t) ~(label : string) ~(ordinal : int)
     ~(measured_ok : unit -> bool) : decision =
   let t = ix.policy in
-  let find_or_empty tbl key =
-    match Hashtbl.find_opt tbl key with Some b -> b | None -> ix.empty_bucket
-  in
-  let b_exact, b_rest =
+  let a1, a3 =
     match subject with
-    | Subject.Guest d -> (find_or_empty ix.guest_exact d, ix.guest_rest)
-    | Subject.Dom0_process p -> (find_or_empty ix.dom0_exact p, ix.dom0_rest)
+    | Subject.Guest d ->
+        (candidates t ix.guest_exact d ~ordinal, bucket_candidates t ix.guest_rest ~ordinal)
+    | Subject.Dom0_process p ->
+        (candidates t ix.dom0_exact p ~ordinal, bucket_candidates t ix.dom0_rest ~ordinal)
   in
-  let b_label = find_or_empty ix.by_label label in
-  let a1 = bucket_candidates t b_exact ~ordinal in
-  let a2 = bucket_candidates t b_label ~ordinal in
-  let a3 = bucket_candidates t b_rest ~ordinal in
+  let a2 = candidates t ix.by_label label ~ordinal in
   let n1 = Array.length a1 and n2 = Array.length a2 and n3 = Array.length a3 in
-  let i1 = ref 0 and i2 = ref 0 and i3 = ref 0 in
-  let scanned = ref 0 in
-  let guard_seen = ref false in
-  let result = ref None in
-  while !result = None && (!i1 < n1 || !i2 < n2 || !i3 < n3) do
-    (* Next candidate in rule order: smallest head of the three arrays
-       (disjoint by construction — a rule lives in exactly one bucket per
-       subject kind, S_any aside, and S_any never coexists with an exact
-       or label entry for the same rule). *)
-    let h1 = if !i1 < n1 then a1.(!i1) else max_int in
-    let h2 = if !i2 < n2 then a2.(!i2) else max_int in
-    let h3 = if !i3 < n3 then a3.(!i3) else max_int in
+  (* [go] picks the smallest head; [visit] examines it. *)
+  let rec go i1 i2 i3 scanned guard_seen =
+    let h1 = if i1 < n1 then a1.(i1) else max_int in
+    let h2 = if i2 < n2 then a2.(i2) else max_int in
+    let h3 = if i3 < n3 then a3.(i3) else max_int in
     let pick = min h1 (min h2 h3) in
-    if pick = h1 then incr i1 else if pick = h2 then incr i2 else incr i3;
-    incr scanned;
+    if pick = max_int then
+      { verdict = t.default; matched_line = None; needs_measurement = guard_seen; scanned }
+    else if pick = h1 then visit pick (i1 + 1) i2 i3 (scanned + 1) guard_seen
+    else if pick = h2 then visit pick i1 (i2 + 1) i3 (scanned + 1) guard_seen
+    else visit pick i1 i2 (i3 + 1) (scanned + 1) guard_seen
+  and visit pick i1 i2 i3 scanned guard_seen =
     let r = t.rules.(pick) in
     if subject_matches r.subject ~subject ~label && command_matches r.command ~ordinal then
       match r.guard with
       | G_none ->
-          result :=
-            Some
-              {
-                verdict = r.verdict;
-                matched_line = Some r.line;
-                needs_measurement = !guard_seen;
-                scanned = !scanned;
-              }
+          { verdict = r.verdict; matched_line = Some r.line; needs_measurement = guard_seen; scanned }
       | G_measured ->
           if measured_ok () then
-            result :=
-              Some
-                {
-                  verdict = r.verdict;
-                  matched_line = Some r.line;
-                  needs_measurement = true;
-                  scanned = !scanned;
-                }
-          else guard_seen := true
-  done;
-  match !result with
-  | Some d -> d
-  | None ->
-      { verdict = t.default; matched_line = None; needs_measurement = !guard_seen; scanned = !scanned }
+            { verdict = r.verdict; matched_line = Some r.line; needs_measurement = true; scanned }
+          else go i1 i2 i3 scanned true
+    else go i1 i2 i3 scanned guard_seen
+  in
+  go 0 0 0 0 false
 
 (* --- Parsing ----------------------------------------------------------------- *)
 
@@ -448,8 +444,8 @@ let default_improved =
 
 (* A synthetic policy of [n] specific rules ending in the defaults above;
    drives the policy-size experiment (Figure 2). With [guarded:true] the
-   tail grants carry [when measured], so every decision pays the gate —
-   the stress case the generation-tagged cache (fig9) is built for. *)
+   tail grants carry [when measured], so every decision pays the gate
+   and none is cached — the stress case of Figure 9. *)
 let synthetic_gen ~guarded ~n =
   let buf = Buffer.create (n * 32) in
   Buffer.add_string buf "default deny\n";

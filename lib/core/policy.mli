@@ -64,8 +64,9 @@ val eval :
     to later rules (conditional-allow semantics). *)
 
 val has_guards : t -> bool
-(** Guarded decisions depend on mutable PCR state and must not be
-    cached (unless the cache is generation-tagged — see {!Monitor}). *)
+(** Whether any rule carries a guard. A decision that evaluated one
+    ([needs_measurement]) depends on mutable measurement state and is
+    never cached by {!Monitor}. *)
 
 (** {1 Compiled index}
 
@@ -132,5 +133,5 @@ val synthetic : n:int -> t
 
 val synthetic_guarded : n:int -> t
 (** Like {!synthetic}, but the tail grants carry [when measured], so
-    every decision pays the measurement gate — the stress case for the
-    generation-tagged decision cache (Figure 9). *)
+    every decision pays the measurement gate and none is cached — the
+    stress case of Figure 9. *)

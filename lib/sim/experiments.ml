@@ -203,18 +203,63 @@ let fig8 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(lane_counts = [ 1; 2; 4; 8 ])
   in
   (series, rendered)
 
+(* --- The linear-evaluation reference ------------------------------------------
+
+   The monitor evaluates every policy through its compiled index. Figures
+   2 and 9 still compare against what a linear first-match scan would
+   cost. That reference is computed, not run: for each routed request the
+   wrapper below evaluates [Policy.eval] and [Policy.eval_indexed] on the
+   same (subject, label, ordinal, gate) and reports the extra simulated
+   time a linear evaluation would have taken. A verdict the monitor is
+   about to serve from its cache would have been a full scan (a linear
+   monitor cached nothing under a guarded policy); a miss would have
+   scanned [Policy.eval]'s rules instead of the index's candidates and
+   skipped the index lookup, so its extra can be negative on tiny
+   policies. *)
+
+let linear_reference (host : Host.t) ~(account : float -> unit) =
+  let m = Host.monitor_exn host in
+  let backend = host.Host.backend in
+  let inner = backend.Vtpm_mgr.Driver.router in
+  backend.Vtpm_mgr.Driver.router <-
+    (fun ~sender ~claimed_instance ~wire ->
+      (match
+         (Binding.lookup_domid m.Monitor.bindings sender, Vtpm_tpm.Wire.peek_header wire)
+       with
+      | (Some _ as binding), Some { Vtpm_tpm.Wire.ordinal; _ } ->
+          let subject = Subject.Guest sender in
+          let label = Subject.label ~xen:host.Host.xen subject in
+          let measured_ok () = Monitor.measurement_matches m ~subject ~binding in
+          let scanned eval = (eval ~subject ~label ~ordinal ~measured_ok).Policy.scanned in
+          let linear = scanned (Policy.eval m.Monitor.policy) in
+          let scan_us n = Vtpm_util.Cost.monitor_rule_scan_us *. float_of_int n in
+          let cached =
+            m.Monitor.cache_enabled
+            &&
+            match Hashtbl.find_opt m.Monitor.cache subject with
+            | Some verdicts -> Hashtbl.mem verdicts ordinal
+            | None -> false
+          in
+          account
+            (if cached then scan_us linear
+             else
+               scan_us (linear - scanned (Policy.eval_indexed m.Monitor.index))
+               -. Vtpm_util.Cost.monitor_index_lookup_us)
+      | _ -> ());
+      inner ~sender ~claimed_instance ~wire)
+
 (* --- Figure 9: lane scaling against the monitor's serial residue -----------------
 
    Figure 8's lane counts saturate against the per-request serial residue;
-   the dominant term under a big guarded policy is the monitor itself:
-   an O(rules) scan plus a measurement gate on every request, with the
-   decision cache disabled outright (seed semantics). The compiled index
-   removes the scan; the generation-tagged cache removes the gate until a
-   measurement actually changes. Same hosts/seeds/op budget as fig8. *)
+   under a big guarded policy the dominant term is the monitor itself.
+   Every decision consults the measurement gate, so none is cached. The
+   [linear] reference charges each request what a linear scan would add
+   (O(rules)); [production] is the monitor as it runs, scanning only the
+   index's candidates. Same hosts/seeds/op budget as fig8. *)
 
 let fig9 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(rules = 1024) ?(lanes = 8) ?(total_ops = 1920)
     () : (string * (float * float) list) list * string =
-  let series_for ~indexed ~guard_cache =
+  let series_for ~linear =
     List.map
       (fun n ->
         let host, tenants =
@@ -223,19 +268,14 @@ let fig9 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(rules = 1024) ?(lanes = 8) ?(to
         Vtpm_mgr.Manager.set_lanes host.Host.mgr lanes;
         let monitor = Host.monitor_exn host in
         Monitor.set_policy monitor (Policy.synthetic_guarded ~n:rules);
-        Monitor.set_index_enabled monitor indexed;
-        Monitor.set_guard_cache_enabled monitor guard_cache;
+        if linear then linear_reference host ~account:(Vtpm_util.Cost.charge (Host.cost host));
         let ops_per_tenant = max 1 (total_ops / n) in
         let r = Workload.run host ~tenants ~mix:Workload.mixed ~ops_per_tenant () in
         (float_of_int n, r.Workload.throughput_ops_s))
       vm_counts
   in
   let series =
-    [
-      ("linear", series_for ~indexed:false ~guard_cache:false);
-      ("indexed", series_for ~indexed:true ~guard_cache:false);
-      ("indexed+gen-cache", series_for ~indexed:true ~guard_cache:true);
-    ]
+    [ ("linear", series_for ~linear:true); ("production", series_for ~linear:false) ]
   in
   let rendered =
     Table.render_series
@@ -248,43 +288,41 @@ let fig9 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(rules = 1024) ?(lanes = 8) ?(to
   in
   (series, rendered)
 
-(* --- Figure 2: decision latency vs policy size ----------------------------------- *)
+(* --- Figure 2: decision latency vs policy size -----------------------------------
 
-let fig2 ?(rule_counts = [ 1; 16; 64; 256; 1024; 4096 ]) ?(reps = 400)
-    ?(include_compiled = false) () : (string * (float * float) list) list * string =
-  let series_for ~cache ~indexed =
-    List.map
-      (fun n ->
-        let host, tenants =
-          Workload.make_host_with_tenants ~mode:Host.Improved_mode ~n:1 ~seed:77 ()
-        in
-        let tenant = List.hd tenants in
-        let monitor = Host.monitor_exn host in
-        Monitor.set_policy monitor (Policy.synthetic ~n);
-        Monitor.set_cache_enabled monitor cache;
-        if indexed then Monitor.set_index_enabled monitor true;
-        let cost = Host.cost host in
-        let m = Metrics.create () in
-        for _ = 1 to reps do
-          let t0 = Vtpm_util.Cost.now cost in
-          (match Tenant.run_op tenant Tenant.Op_pcr_read with
-          | Ok () -> ()
-          | Error e -> invalid_arg e);
-          Metrics.add m (Vtpm_util.Cost.now cost -. t0)
-        done;
-        (float_of_int n, (Metrics.summarize m).Metrics.mean))
-      rule_counts
+   [cache-on] and [compiled] (cache off) are the monitor as it runs;
+   [linear] is each [compiled] request plus what a linear scan of the
+   same request would have added. *)
+
+let fig2 ?(rule_counts = [ 1; 16; 64; 256; 1024; 4096 ]) ?(reps = 400) () :
+    (string * (float * float) list) list * string =
+  let run ~cache n =
+    let host, tenants = Workload.make_host_with_tenants ~mode:Host.Improved_mode ~n:1 ~seed:77 () in
+    let tenant = List.hd tenants in
+    let monitor = Host.monitor_exn host in
+    Monitor.set_policy monitor (Policy.synthetic ~n);
+    Monitor.set_cache_enabled monitor cache;
+    let extra = ref 0.0 in
+    if not cache then linear_reference host ~account:(fun us -> extra := !extra +. us);
+    let cost = Host.cost host in
+    let m = Metrics.create () and linear = Metrics.create () in
+    for _ = 1 to reps do
+      let t0 = Vtpm_util.Cost.now cost in
+      extra := 0.0;
+      (match Tenant.run_op tenant Tenant.Op_pcr_read with
+      | Ok () -> ()
+      | Error e -> invalid_arg e);
+      let dt = Vtpm_util.Cost.now cost -. t0 in
+      Metrics.add m dt;
+      Metrics.add linear (dt +. !extra)
+    done;
+    let mean m = (float_of_int n, (Metrics.summarize m).Metrics.mean) in
+    (mean m, mean linear)
   in
+  let cached = List.map (fun n -> fst (run ~cache:true n)) rule_counts in
+  let uncached = List.map (run ~cache:false) rule_counts in
   let series =
-    [
-      ("cache-on", series_for ~cache:true ~indexed:false);
-      ("cache-off", series_for ~cache:false ~indexed:false);
-    ]
-    @
-    (* Opt-in so the default rendering stays bit-identical to the seed:
-       the compiled index scans only candidate rules, flattening the
-       cache-off curve. *)
-    if include_compiled then [ ("compiled", series_for ~cache:false ~indexed:true) ] else []
+    [ ("cache-on", cached); ("linear", List.map snd uncached); ("compiled", List.map fst uncached) ]
   in
   let rendered =
     Table.render_series
@@ -1536,7 +1574,7 @@ let table7 ?(traces = 150) ?(seed = 29) () : Vtpm_attacks.Fuzz.soak * string =
       ~title:
         (Printf.sprintf
            "Table 7: adversary matrix under interleaved soak (%d traces, %d ops, %d attack \
-            ops; lanes+batching+index+guard cache+supervisor+freshness on; seed %d)"
+            ops; lanes+batching+index+supervisor+freshness on; seed %d)"
            s.Fuzz.sk_traces s.Fuzz.sk_ops s.Fuzz.sk_attacks seed)
       ~header:[ "adversary"; "attempts"; "blocked"; "wins" ]
       ~rows:(rows @ summary)
@@ -1851,13 +1889,13 @@ let fig12 ?(batches = [ 16; 64; 256; 1024 ]) ?(seed = 83) () : fig12_point list 
 
 (* --- fig13 / table9: lane placement and manager sharding (PR 9) --------------
 
-   Figure 9's compiled index and generation cache cure the monitor's
-   O(rules) residue, yet the curve still flatlines: every request pays
+   Figure 9's compiled index cures the monitor's O(rules) residue, yet
+   the curve still flatlines: every request pays
    the transport/audit residue on the one global meter, and the fixed
    hash pins each instance to [key mod lanes] forever, so hot instances
    pile onto cold lanes' neighbours while idle lanes stay idle. Figure 13
-   re-runs fig9's best configuration (1024 guarded rules, index + gen
-   cache, same hosts/seeds/op budget) across placement policies and the
+   re-runs fig9's production configuration (1024 guarded rules, compiled
+   index, same hosts/seeds/op budget) across placement policies and the
    sharded manager: fixed-hash at the seed's 8 lanes, least-loaded and
    work-stealing with one lane per VM, and group-per-tenant shards whose
    private frontends absorb the serial residue. *)
@@ -1872,8 +1910,6 @@ let fig13 ?(vm_counts = [ 8; 16; 32; 64; 128; 256 ]) ?(rules = 1024) ?(fixed_lan
         in
         let monitor = Host.monitor_exn host in
         Monitor.set_policy monitor (Policy.synthetic_guarded ~n:rules);
-        Monitor.set_index_enabled monitor true;
-        Monitor.set_guard_cache_enabled monitor true;
         configure host n;
         let ops_per_tenant = max 1 (total_ops / n) in
         let r = Workload.run host ~tenants ~mix:Workload.mixed ~ops_per_tenant () in
@@ -1908,7 +1944,7 @@ let fig13 ?(vm_counts = [ 8; 16; 32; 64; 128; 256 ]) ?(rules = 1024) ?(fixed_lan
       ~title:
         (Printf.sprintf
            "Figure 13: aggregate vTPM throughput (simulated ops/s) vs number of VMs by lane \
-            placement, %d-rule guarded policy with index + gen-cache (improved mode)"
+            placement, %d-rule guarded policy (improved mode)"
            rules)
       ~x_label:"vms" ~series
   in
@@ -2098,8 +2134,8 @@ let table9 ?(flood_x = 10) ?(victim_ops = 200) () : table9_row list * string =
    Everything before this point prices TPM_Quote at the 2010-era model
    constant, so the figures say nothing about what the Montgomery/CRT
    signer and word-level SHA actually buy a deployment. Figure 14 re-runs
-   the attestation-heavy mix on fig13's best host (guarded policy with
-   index + gen-cache, group shards) under the three quote-cost profiles:
+   the attestation-heavy mix on fig13's best host (guarded policy, group
+   shards) under the three quote-cost profiles:
    the 2010 model (38 ms per quote), the container-measured schoolbook
    signer (~3.4 ms), and the container-measured Montgomery/CRT signer
    (~0.34 ms). Only [Cost.quote_cost_us] differs between series; hosts,
@@ -2119,8 +2155,6 @@ let fig14 ?(vm_counts = [ 8; 16; 32; 64; 128; 256 ]) ?(rules = 1024) ?(total_ops
         in
         let monitor = Host.monitor_exn host in
         Monitor.set_policy monitor (Policy.synthetic_guarded ~n:rules);
-        Monitor.set_index_enabled monitor true;
-        Monitor.set_guard_cache_enabled monitor true;
         ignore (Host.enable_sharding host ~lanes_per_shard:2 ());
         let ops_per_tenant = max 1 (total_ops / n) in
         let r =

@@ -38,15 +38,13 @@ val fig8 :
     saturates. *)
 
 val fig2 :
-  ?rule_counts:int list ->
-  ?reps:int ->
-  ?include_compiled:bool ->
-  unit ->
-  (string * (float * float) list) list * string
-(** Per-request latency vs policy size, decision cache on/off.
-    [include_compiled] (default false, keeping the default rendering
-    bit-identical to the seed) adds a cache-off series evaluated through
-    the compiled policy index — near-flat in policy size. *)
+  ?rule_counts:int list -> ?reps:int -> unit -> (string * (float * float) list) list * string
+(** Per-request latency vs policy size. [cache-on] and [compiled] (cache
+    off) are the monitor as it runs, evaluating through the compiled
+    index — flat in policy size. [linear] is the [compiled] run's
+    requests each charged what a linear first-match scan
+    ({!Vtpm_access.Policy.eval}) of the same request would have added —
+    O(rules). *)
 
 val fig9 :
   ?vm_counts:int list ->
@@ -56,11 +54,10 @@ val fig9 :
   unit ->
   (string * (float * float) list) list * string
 (** Aggregate throughput vs number of VMs at a fixed lane count under a
-    large {e guarded} synthetic policy — the worst case for the seed
-    monitor, which both scans every rule and refuses to cache guarded
-    decisions. Series: [linear] (seed behaviour), [indexed] (compiled
-    policy index), [indexed+gen-cache] (index plus the generation-tagged
-    decision cache, invalidated only when a measurement changes). *)
+    large {e guarded} synthetic policy, whose decisions all consult the
+    measurement gate and are never cached. Series: [linear] (each request
+    also charged the extra cost of a linear scan of its decision) and
+    [production] (the compiled index). *)
 
 val fig3 : ?ops_per_tenant:int -> unit -> (string * Metrics.summary) list * string
 (** Mixed-workload latency distribution, both modes. *)
@@ -312,8 +309,8 @@ val fig13 :
   ?total_ops:int ->
   unit ->
   (string * (float * float) list) list * string
-(** Lane placement and manager sharding at scale: fig9's best
-    configuration (guarded policy, index + gen-cache) re-run with
+(** Lane placement and manager sharding at scale: fig9's production
+    configuration (1024-rule guarded policy) re-run with
     fixed-hash placement at the seed's 8 lanes, least-loaded and
     work-stealing placement at one lane per VM, and group-per-tenant
     manager shards whose private frontends absorb the per-request serial
@@ -361,8 +358,8 @@ val fig14 :
   unit ->
   (string * (float * float) list) list * string
 (** Quote-path throughput before/after the crypto overhaul: the
-    attestation-heavy mix on fig13's best host (guarded policy, index +
-    gen-cache, group shards) priced under each {!Vtpm_util.Cost.quote_profile}.
+    attestation-heavy mix on fig13's best host (guarded policy, group
+    shards) priced under each {!Vtpm_util.Cost.quote_profile}.
     The 2010-model series reproduces the paper-era ceiling; the measured
     schoolbook and Montgomery/CRT series re-cost TPM_Quote from this
     container's Bechamel medians, so the gap between the last two curves

@@ -23,7 +23,8 @@
    - self-healing (resilience = Some r): bounded retries with exponential
      backoff and a per-request deadline on the simulated clock. A lost
      kick is re-raised (the request is still queued, so it is not
-     re-pushed); a corrupted or truncated frame is detected by the v2 CRC
+     re-pushed), and a lost response kick is recovered by reading the
+     response already in the ring; a corrupted or truncated frame is detected by the v2 CRC
      and re-sent; a dead backend is restarted (its checkpoint hook
      restores manager state) and the frontend runs the reconnection
      handshake — fresh ring grant, fresh event-channel pair, XenStore
@@ -42,6 +43,11 @@ type connection = {
   mutable ring_frame : int; (* backing frame recorded at the handshake *)
   mutable connected : bool;
   mutable reconnects : int;
+  mutable order : int;
+      (* sweep position: the backend's connection list is kept in
+         decreasing [order], so the kicked pump can visit listed rings in
+         the sweep's order without walking the list *)
+  mutable listed : bool; (* on the backend's work list *)
 }
 
 (* Routing decision + execution, supplied by the access-control layer. *)
@@ -114,6 +120,12 @@ type backend = {
   mutable on_transport_tamper : Domain.domid -> string -> unit;
   mutable transport_tampers : int;
   mutable ring_visits : int; (* rings validated and drained by the pump *)
+  mutable ring_checks : int; (* rings the pump examined, visited or not *)
+  mutable work : connection list;
+      (* the work list: every connection whose ring may hold unconsumed
+         requests, unordered. A ring's producer writes put it here; the
+         pump drops it once its ring is idle. *)
+  mutable next_order : int;
   mutable swept_version : int;
       (* grant-table version when the last full sweep began; -1 forces
          the next kicked pump to sweep *)
@@ -152,6 +164,9 @@ let create_backend ?resilience ~xen ~be_domid ~router () =
     on_transport_tamper = (fun _ _ -> ());
     transport_tampers = 0;
     ring_visits = 0;
+    ring_checks = 0;
+    work = [];
+    next_order = 0;
     swept_version = -1;
     lane_sink = (fun _ -> None);
   }
@@ -217,6 +232,23 @@ let publish_device ~(xen : Hypervisor.t) ~fe ~be ~instance : (unit, string) resu
             [ "backend-id"; "instance" ];
           Ok ())
 
+(* The ring's producer hook: a write puts the connection on the work list. *)
+let enlist (backend : backend) (conn : connection) =
+  if not conn.listed then begin
+    conn.listed <- true;
+    backend.work <- conn :: backend.work
+  end
+
+let attach_ring (backend : backend) (conn : connection) ring =
+  conn.ring <- ring;
+  Ring.set_on_produce ring (fun () -> enlist backend conn)
+
+(* Put [conn] at the head of the connection list, first in sweep order. *)
+let add_connection (backend : backend) (conn : connection) =
+  conn.order <- backend.next_order;
+  backend.next_order <- backend.next_order + 1;
+  backend.connections <- conn :: backend.connections
+
 (* Shared grant/evtchn/XenStore plumbing for connect and reconnect: grant
    the ring frame, bind a fresh event-channel pair, have the backend map
    the grant, publish ring-ref/event-channel. XenStore publication is
@@ -274,9 +306,12 @@ let connect (backend : backend) ~(fe_domid : Domain.domid) : (connection, string
                     ring_frame;
                     connected = true;
                     reconnects = 0;
+                    order = 0;
+                    listed = false;
                   }
                 in
-                backend.connections <- conn :: backend.connections;
+                attach_ring backend conn ring;
+                add_connection backend conn;
                 Ok conn)
 
 (* Reconnection handshake after a backend crash (or torn link): drop the
@@ -294,22 +329,25 @@ let reconnect (backend : backend) (conn : connection) : (unit, string) result =
     match establish backend ~fe_domid:conn.fe_domid with
     | Error e -> Error e
     | Ok (ring, fe_port, be_port, gref, ring_frame) ->
-        conn.ring <- ring;
+        attach_ring backend conn ring;
         conn.fe_port <- fe_port;
         conn.be_port <- be_port;
         conn.gref <- gref;
         conn.ring_frame <- ring_frame;
         conn.connected <- true;
         conn.reconnects <- conn.reconnects + 1;
-        if not (List.memq conn backend.connections) then
-          backend.connections <- conn :: backend.connections;
+        if not (List.memq conn backend.connections) then add_connection backend conn;
         Ok ()
   end
 
 let disconnect (backend : backend) (conn : connection) =
   conn.connected <- false;
   Evtchn.close backend.xen.Hypervisor.evtchn ~domid:conn.fe_domid ~port:conn.fe_port;
-  backend.connections <- List.filter (fun c -> c != conn) backend.connections
+  backend.connections <- List.filter (fun c -> c != conn) backend.connections;
+  if conn.listed then begin
+    conn.listed <- false;
+    backend.work <- List.filter (fun c -> c != conn) backend.work
+  end
 
 (* Teardown for the per-frontend queue: pending work of a destroyed
    domain must not leak (or be executed on its behalf posthumously). *)
@@ -359,7 +397,8 @@ let restart_backend (backend : backend) =
    One visit validates a ring's grant and drains the ring. [process_pending]
    visits every connected ring (the sweep); [process_kicked], which a
    frontend's kick runs, visits only the rings a sweep would not find idle:
-   rings with unconsumed requests ([Ring.has_unconsumed_requests]), or
+   rings with unconsumed requests ([Ring.has_unconsumed_requests], found
+   on the work list), or
    every ring once the grant table has changed since the last sweep
    began. A visit to any other ring validates an unchanged grant and pops
    nothing, so it draws no fault, routes nothing and audits nothing:
@@ -440,23 +479,73 @@ let visit (backend : backend) (conn : connection) ~processed =
     drain ()
   end
 
-(* [sweep] visits every connected ring. Without it a ring is skipped while
-   it is idle and the grant table still reads the version recorded when
-   the last sweep began. Only a visit runs the router, which can move the
-   version; from then on every ring is visited, as in a sweep. *)
+(* Drop the connections whose ring is idle from the work list. A ring
+   only becomes busy again through a producer write, which re-lists it,
+   so every ring with unconsumed requests stays listed. *)
+let prune (backend : backend) =
+  backend.work <-
+    List.filter
+      (fun c ->
+        c.listed <- Ring.has_unconsumed_requests c.ring;
+        c.listed)
+      backend.work
+
+(* One ring in a pass: skipped unless it is connected and, when the pass
+   is not visiting every ring, it has unconsumed requests. *)
+let examine (backend : backend) conn ~all ~processed =
+  backend.ring_checks <- backend.ring_checks + 1;
+  if conn.connected && backend.alive && (all || Ring.has_unconsumed_requests conn.ring) then begin
+    visit backend conn ~processed;
+    true
+  end
+  else false
+
+let version_moved (backend : backend) =
+  Hypervisor.grant_version backend.xen <> backend.swept_version
+
+(* Walk a suffix of the connection list. Without [all] a ring is skipped
+   while it is idle and the grant table still reads the version recorded
+   when the last sweep began. Only a visit runs the router, which can move
+   the version; from then on every ring is visited, as in a sweep. *)
+let rec walk (backend : backend) ~all ~processed = function
+  | [] -> ()
+  | conn :: rest ->
+      let all = (examine backend conn ~all ~processed && version_moved backend) || all in
+      walk backend ~all ~processed rest
+
+(* The kicked pass visits the listed rings in the sweep's order: each
+   step takes the listed connection latest in that order's remaining part
+   (the largest [order] below the last one examined), rereading the list
+   so that a ring listed during an earlier visit is still found. Once a
+   visit moves the grant version, the rest of the connection list is
+   walked in full, exactly as the sweep-order walk would. *)
+let serve_listed (backend : backend) ~processed =
+  let next bound =
+    List.fold_left
+      (fun best c ->
+        if c.order < bound && match best with None -> true | Some b -> c.order > b.order then
+          Some c
+        else best)
+      None backend.work
+  in
+  let rec pass bound =
+    match next bound with
+    | None -> ()
+    | Some conn ->
+        if examine backend conn ~all:false ~processed && version_moved backend then
+          walk backend ~all:true ~processed
+            (List.filter (fun c -> c.order < conn.order) backend.connections)
+        else pass conn.order
+  in
+  pass max_int
+
 let serve (backend : backend) ~sweep : int =
   let processed = ref 0 in
-  let rec walk all = function
-    | [] -> ()
-    | conn :: rest ->
-        if conn.connected && backend.alive && (all || Ring.has_unconsumed_requests conn.ring)
-        then begin
-          visit backend conn ~processed;
-          walk (all || Hypervisor.grant_version backend.xen <> backend.swept_version) rest
-        end
-        else walk all rest
-  in
-  (try walk sweep backend.connections with Exit -> ());
+  (try
+     if sweep then walk backend ~all:true ~processed backend.connections
+     else serve_listed backend ~processed
+   with Exit -> ());
+  prune backend;
   !processed
 
 let process_pending (backend : backend) : int =
@@ -466,10 +555,10 @@ let process_pending (backend : backend) : int =
   serve backend ~sweep:true
 
 let process_kicked (backend : backend) : int =
-  if Hypervisor.grant_version backend.xen <> backend.swept_version then process_pending backend
-  else serve backend ~sweep:false
+  if version_moved backend then process_pending backend else serve backend ~sweep:false
 
 let ring_visits (backend : backend) = backend.ring_visits
+let ring_checks (backend : backend) = backend.ring_checks
 
 (* --- Frontend-side synchronous exchange --------------------------------- *)
 
@@ -559,6 +648,19 @@ let request_failfast (backend : backend) (conn : connection) ~wire :
             | `Corrupt m -> fail "corrupt response: %s" m
             | `No_response -> fail "no response (backend stalled)"))
 
+(* A retry's first look. If the previous attempt's request is no longer
+   queued, the backend popped it, and its response may already sit in the
+   ring with only the response kick lost: take it (un-gated) instead of
+   re-sending, which would execute the command twice. A Bad_frame answer
+   means the request was consumed unexecuted and must be re-sent. *)
+let answered_earlier (backend : backend) (conn : connection) ~prev =
+  match prev with
+  | Some id when not (Ring.request_pending conn.ring ~id) -> (
+      match check_response backend conn ~id ~gated:false with
+      | `Response (status, payload) when status <> Proto.Bad_frame -> Some (status, payload)
+      | `Response _ | `Corrupt _ | `No_response -> None)
+  | _ -> None
+
 (* Self-healing exchange: bounded retries with exponential backoff and a
    per-request deadline, all on the simulated clock. *)
 let request_resilient (backend : backend) (conn : connection) ~wire ~(r : resilience) :
@@ -589,34 +691,37 @@ let request_resilient (backend : backend) (conn : connection) ~wire ~(r : resili
         go ~attempt:(attempt + 1) ~prev:None
       end
       else
-        match read_claimed_instance backend conn with
-        | Error _ ->
-            (* XenStore transient: retriable. *)
-            backoff attempt;
-            go ~attempt:(attempt + 1) ~prev
-        | Ok claimed_instance -> (
-            let frame = Proto.encode_request ~claimed_instance wire in
-            match send_attempt backend conn ~frame ~prev with
+        match answered_earlier backend conn ~prev with
+        | Some (status, payload) -> Ok { status; payload; attempts = attempt; recovered = true }
+        | None -> (
+            match read_claimed_instance backend conn with
             | Error _ ->
-                (* Ring full — drain pressure is the backend's job; back
-                   off and re-offer. *)
+                (* XenStore transient: retriable. *)
                 backoff attempt;
-                go ~attempt:(attempt + 1) ~prev:None
-            | Ok id -> (
-                (* Retry attempts look at the ring even without a kick —
-                   the timeout path of a real frontend. *)
-                match check_response backend conn ~id ~gated:(attempt = 1) with
-                | `Response (Proto.Bad_frame, _) ->
-                    (* The backend saw a corrupted frame: the request was
-                       consumed but never executed — re-send it. *)
+                go ~attempt:(attempt + 1) ~prev
+            | Ok claimed_instance -> (
+                let frame = Proto.encode_request ~claimed_instance wire in
+                match send_attempt backend conn ~frame ~prev with
+                | Error _ ->
+                    (* Ring full — drain pressure is the backend's job; back
+                       off and re-offer. *)
                     backoff attempt;
                     go ~attempt:(attempt + 1) ~prev:None
-                | `Response (status, payload) ->
-                    Ok { status; payload; attempts = attempt; recovered = attempt > 1 }
-                | `Corrupt _ | `No_response ->
-                    backoff attempt;
-                    let prev = if conn.connected then Some id else None in
-                    go ~attempt:(attempt + 1) ~prev))
+                | Ok id -> (
+                    (* Retry attempts look at the ring even without a kick —
+                       the timeout path of a real frontend. *)
+                    match check_response backend conn ~id ~gated:(attempt = 1) with
+                    | `Response (Proto.Bad_frame, _) ->
+                        (* The backend saw a corrupted frame: the request was
+                           consumed but never executed — re-send it. *)
+                        backoff attempt;
+                        go ~attempt:(attempt + 1) ~prev:None
+                    | `Response (status, payload) ->
+                        Ok { status; payload; attempts = attempt; recovered = attempt > 1 }
+                    | `Corrupt _ | `No_response ->
+                        backoff attempt;
+                        let prev = if conn.connected then Some id else None in
+                        go ~attempt:(attempt + 1) ~prev)))
     end
   in
   go ~attempt:1 ~prev:None

@@ -25,6 +25,12 @@ type connection = {
   mutable ring_frame : int;  (** grant backing frame recorded at the handshake *)
   mutable connected : bool;
   mutable reconnects : int;  (** reconnection handshakes run on this link *)
+  mutable order : int;
+      (** sweep position: the backend's connection list is kept in
+          decreasing [order] *)
+  mutable listed : bool;
+      (** on the backend's work list; every connection whose ring has
+          unconsumed requests is *)
 }
 
 type router =
@@ -91,6 +97,12 @@ type backend = {
           denial against the affected frontend *)
   mutable transport_tampers : int;  (** violations detected so far *)
   mutable ring_visits : int;  (** rings validated and drained by the pump *)
+  mutable ring_checks : int;  (** rings the pump examined, visited or not *)
+  mutable work : connection list;
+      (** the work list: every connection whose ring may hold unconsumed
+          requests. A producer write to a ring lists its connection; the
+          pump drops it once the ring is idle. *)
+  mutable next_order : int;
   mutable swept_version : int;
       (** {!Vtpm_xen.Hypervisor.grant_version} when the last
           {!process_pending} sweep began; [-1] makes the next
@@ -183,10 +195,18 @@ val process_kicked : backend -> int
     began, it is that sweep. Otherwise it visits, in [connections] order,
     only the rings with unconsumed requests
     ({!Vtpm_xen.Ring.has_unconsumed_requests}) — a visit to any other ring
-    would find its unchanged grant valid and pop nothing. *)
+    would find its unchanged grant valid and pop nothing. It finds them on
+    the work list, not by walking [connections], so its cost follows the
+    rings with work, not the rings connected; once a visit moves the
+    grant version, every later ring in [connections] is visited, as in
+    the sweep. *)
 
 val ring_visits : backend -> int
 (** Rings validated and drained so far, by either pump. *)
+
+val ring_checks : backend -> int
+(** Rings examined so far by either pump, visited or skipped: one per
+    connection in a sweep, one per work-list entry in a kicked pass. *)
 
 type outcome = {
   status : Proto.status;

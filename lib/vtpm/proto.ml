@@ -17,8 +17,6 @@
    identity; keeping it on the wire lets both managers consume identical
    traffic, so the overhead comparison is apples-to-apples. *)
 
-module C = Vtpm_util.Codec
-
 let version = 2
 let header_len = 5 (* version(u8) || crc32(u32) *)
 
@@ -28,59 +26,61 @@ let status_code = function Ok_routed -> 0 | Denied -> 1 | Bad_frame -> 2
 
 let status_of_code = function 0 -> Some Ok_routed | 1 -> Some Denied | 2 -> Some Bad_frame | _ -> None
 
-let checksum body = Vtpm_util.Crc32.digest body
+(* Frames are assembled in place: [open_frame] lays down the version
+   byte and the payload after a [prefix_len]-byte gap the caller fills,
+   and [seal] takes the CRC over the body where it lies — one allocation
+   per frame. *)
+let open_frame ~prefix_len (payload : string) : Bytes.t =
+  let plen = String.length payload in
+  let b = Bytes.create (header_len + prefix_len + plen) in
+  Bytes.set_uint8 b 0 version;
+  Bytes.blit_string payload 0 b (header_len + prefix_len) plen;
+  b
 
-let frame body =
-  let w = C.writer () in
-  C.write_u8 w version;
-  C.write_u32 w (checksum body);
-  C.write_bytes w body;
-  C.contents w
+let seal (b : Bytes.t) : string =
+  let body_len = Bytes.length b - header_len in
+  let crc = Vtpm_util.Crc32.sub (Bytes.unsafe_to_string b) ~pos:header_len ~len:body_len in
+  Bytes.set_int32_be b 1 (Int32.of_int crc);
+  Bytes.unsafe_to_string b
 
-(* Header check shared by both directions. Returns the verified body. *)
-let unframe (frame : string) : (string, string) result =
+let u32_at (s : string) pos = Int32.to_int (String.get_int32_be s pos) land 0xffffffff
+
+(* Header check shared by both directions. Returns the verified body's
+   length; the body starts at [header_len]. *)
+let unframe (frame : string) : (int, string) result =
   let len = String.length frame in
   if len < header_len then Error "short vTPM frame"
   else if Char.code frame.[0] <> version then
     Error (Printf.sprintf "unsupported vTPM protocol version %d" (Char.code frame.[0]))
   else begin
-    let r = C.reader frame in
-    let _v = C.read_u8 r in
-    let crc = C.read_u32 r in
-    let body = String.sub frame header_len (len - header_len) in
-    if Int32.equal crc (checksum body) then Ok body
+    let body_len = len - header_len in
+    if u32_at frame 1 = Vtpm_util.Crc32.sub frame ~pos:header_len ~len:body_len then Ok body_len
     else Error "vTPM frame checksum mismatch"
   end
 
 let encode_request ~claimed_instance (wire : string) : string =
-  let w = C.writer () in
-  C.write_u32_int w claimed_instance;
-  C.write_bytes w wire;
-  frame (C.contents w)
+  let b = open_frame ~prefix_len:4 wire in
+  Bytes.set_int32_be b header_len (Int32.of_int claimed_instance);
+  seal b
 
 let decode_request (fr : string) : (int * string, string) result =
   match unframe fr with
   | Error e -> Error e
-  | Ok body ->
-      if String.length body < 4 then Error "short vTPM request body"
-      else begin
-        let r = C.reader body in
-        let claimed = C.read_u32_int r in
-        Ok (claimed, String.sub body 4 (String.length body - 4))
-      end
+  | Ok body_len ->
+      if body_len < 4 then Error "short vTPM request body"
+      else Ok (u32_at fr header_len, String.sub fr (header_len + 4) (body_len - 4))
 
 let encode_response (st : status) (payload : string) : string =
-  let w = C.writer () in
-  C.write_u8 w (status_code st);
-  C.write_bytes w payload;
-  frame (C.contents w)
+  let b = open_frame ~prefix_len:1 payload in
+  Bytes.set_uint8 b header_len (status_code st);
+  seal b
 
 let decode_response (fr : string) : (status * string, string) result =
   match unframe fr with
   | Error e -> Error e
-  | Ok body ->
-      if String.length body < 1 then Error "empty vTPM response body"
+  | Ok body_len ->
+      if body_len < 1 then Error "empty vTPM response body"
       else
-        match status_of_code (Char.code body.[0]) with
+        match status_of_code (Char.code fr.[header_len]) with
         | None -> Error "bad vTPM status byte"
-        | Some st -> Ok (st, String.sub body 1 (String.length body - 1))
+        | Some st -> Ok (st, String.sub fr (header_len + 1) (body_len - 1))

@@ -45,6 +45,9 @@ type t = {
   mutable req_prod : int;
   mutable req_cons : int;
   hist : slot option array;
+  mutable on_produce : unit -> unit;
+      (* called after every producer-side write: the backend's hook puts
+         the ring on its work list *)
 }
 
 let default_capacity = 32
@@ -61,6 +64,7 @@ let create ?(capacity = default_capacity) ~frontend ~backend () =
     req_prod = 0;
     req_cons = 0;
     hist = Array.make (max 1 capacity) None;
+    on_produce = ignore;
   }
 
 let frontend t = t.frontend
@@ -73,8 +77,11 @@ let req_cons t = t.req_cons
 
 (* RING_HAS_UNCONSUMED_REQUESTS. While it is false, either pop returns
    nothing and changes nothing, and only a producer-side write
-   ([push_slot], [corrupt_req_prod]) can make it true again. *)
+   ([push_slot], [corrupt_req_prod]) can make it true again — each of
+   which runs [on_produce]. *)
 let has_unconsumed_requests t = t.req_prod <> t.req_cons || not (Queue.is_empty t.requests)
+
+let set_on_produce t f = t.on_produce <- f
 
 (* Frontend side *)
 
@@ -86,6 +93,7 @@ let push_slot t (s : slot) : (int, string) result =
     Hashtbl.replace t.outstanding s.id ();
     t.hist.(s.id mod t.capacity) <- Some s;
     t.req_prod <- t.req_prod + 1;
+    t.on_produce ();
     Ok s.id
   end
 
@@ -180,4 +188,6 @@ let snoop_responses t : slot list = List.rev (Queue.fold (fun acc s -> s :: acc)
 let inject_request t ~(pusher : Domain.domid) (payload : string) : (int, string) result =
   push_slot t { id = t.next_id; payload; pusher }
 
-let corrupt_req_prod t ~delta = t.req_prod <- t.req_prod + delta
+let corrupt_req_prod t ~delta =
+  t.req_prod <- t.req_prod + delta;
+  t.on_produce ()

@@ -49,6 +49,11 @@ val has_unconsumed_requests : t -> bool
     change nothing, and only a producer-side write ({!push_request},
     {!inject_request}, {!corrupt_req_prod}) can make it true. *)
 
+val set_on_produce : t -> (unit -> unit) -> unit
+(** Install the hook every producer-side write calls once it has landed
+    (a refused push calls nothing). The backend uses it to put the ring on
+    its work list; the default does nothing. *)
+
 (** {1 Frontend side} *)
 
 val push_request : t -> string -> (int, string) result

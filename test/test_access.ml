@@ -757,7 +757,7 @@ let test_monitor_rebind () =
   | Some b -> check_i "new binding" inst.Vtpm_mgr.Manager.vtpm_id b.Binding.vtpm_id
   | None -> Alcotest.fail "new binding missing"
 
-(* --- Generation-tagged decision cache + indexed evaluation ----------------------- *)
+(* --- Compiled-index evaluation and the live measurement gate ---------------------- *)
 
 let guarded_policy_src = "default deny\nallow guest:* class:measurement when measured\n"
 
@@ -774,87 +774,64 @@ let bind_guest xen mgr monitor name =
 
 let pcr_read_wire = Vtpm_tpm.Wire.encode_request (Vtpm_tpm.Cmd.Pcr_read { pcr = 0 })
 
-(* With the guard cache on, a guarded verdict is served from cache between
-   measurement changes: the gate is paid once, not per request. *)
-let test_monitor_guard_cache_hits () =
+(* A decision that consulted the measurement gate is never cached: every
+   request pays the gate, before and after an allowed Extend. *)
+let test_monitor_guarded_gate_every_request () =
   let xen, mgr, monitor = mk_monitor () in
   let d, vid = bind_guest xen mgr monitor "g1" in
   Monitor.set_policy monitor (Policy.parse_exn guarded_policy_src);
-  Monitor.set_guard_cache_enabled monitor true;
-  let router = Monitor.router monitor in
-  Monitor.reset_stats monitor;
-  for _ = 1 to 5 do
-    check_b "read allowed" true
-      (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire))
-  done;
-  let s = Monitor.stats monitor in
-  check_i "five lookups" 5 s.Monitor.lookups;
-  check_i "hits between measurement changes" 4 s.Monitor.cache_hits;
-  check_i "gate paid once" 1 s.Monitor.gate_checks
-
-(* An allowed PCR-mutating command bumps the sender's measurement
-   generation: exactly its stale entries re-evaluate, then caching
-   resumes. *)
-let test_monitor_guard_cache_extend_invalidates () =
-  let xen, mgr, monitor = mk_monitor () in
-  let d, vid = bind_guest xen mgr monitor "g1" in
-  Monitor.set_policy monitor (Policy.parse_exn guarded_policy_src);
-  Monitor.set_guard_cache_enabled monitor true;
   let router = Monitor.router monitor in
   let extend_wire =
     Vtpm_tpm.Wire.encode_request
       (Vtpm_tpm.Cmd.Extend { pcr = 10; digest = String.make 20 '\x2a' })
   in
   Monitor.reset_stats monitor;
-  ignore (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire);
-  ignore (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire);
-  check_i "second read hits" 1 (Monitor.stats monitor).Monitor.cache_hits;
+  for _ = 1 to 5 do
+    check_b "read allowed" true
+      (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire))
+  done;
   check_b "extend allowed" true
     (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:extend_wire));
-  ignore (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire);
-  check_i "read after extend misses" 1 (Monitor.stats monitor).Monitor.cache_hits;
-  ignore (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire);
-  check_i "then caching resumes" 2 (Monitor.stats monitor).Monitor.cache_hits
+  check_b "read after extend allowed" true
+    (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire));
+  let s = Monitor.stats monitor in
+  check_i "seven lookups" 7 s.Monitor.lookups;
+  check_i "no hits for gated decisions" 0 s.Monitor.cache_hits;
+  check_i "gate paid every request" 7 s.Monitor.gate_checks
 
-(* Measurement changes the monitor cannot observe (a kernel swap without a
-   mediated PCR write) are flushed by an explicit [bump_measurement]. *)
-let test_monitor_guard_cache_bump_on_tamper () =
+(* An out-of-band kernel swap — no mediated PCR write, no other call —
+   denies the very next guarded request: there is no cached Allow. *)
+let test_monitor_kernel_swap_denies_next () =
   let xen, mgr, monitor = mk_monitor () in
   let d, vid = bind_guest xen mgr monitor "g1" in
   let dom = Vtpm_xen.Hypervisor.domain_exn xen d in
   Monitor.set_policy monitor (Policy.parse_exn guarded_policy_src);
-  Monitor.set_guard_cache_enabled monitor true;
   let router = Monitor.router monitor in
-  Monitor.reset_stats monitor;
   check_b "measured guest allowed" true
     (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire));
-  Vtpm_xen.Domain.set_kernel dom ~image:"rootkit";
-  (* The swap happened outside the monitor's view: the cached allow is
-     still live until the generation advances. *)
-  check_b "stale allow until bumped" true
+  check_b "measured guest allowed again" true
     (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire));
-  Monitor.bump_measurement monitor (Subject.Guest d);
-  check_b "re-evaluated and denied after bump" true
+  Vtpm_xen.Domain.set_kernel dom ~image:"rootkit";
+  check_b "tampered guest denied" true
     (Result.is_error (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire))
 
-(* Rebinding re-anchors the reference measurement and advances the
-   generation, so stale verdicts re-evaluate against the new anchor. *)
-let test_monitor_guard_cache_rebind_invalidates () =
+(* Rebinding re-anchors the reference measurement: after a kernel update
+   the guest is denied until the rebind, then allowed against the new
+   anchor, with the gate checked each time. *)
+let test_monitor_rebind_reanchors_gate () =
   let xen, mgr, monitor = mk_monitor () in
   let d, vid = bind_guest xen mgr monitor "g1" in
   let dom = Vtpm_xen.Hypervisor.domain_exn xen d in
   Monitor.set_policy monitor
     (Policy.parse_exn (guarded_policy_src ^ "allow dom0:vtpm-manager class:admin\n"));
-  Monitor.set_guard_cache_enabled monitor true;
   Monitor.register_process monitor ~process:"vtpm-manager" ~token:"tok";
   let router = Monitor.router monitor in
   Monitor.reset_stats monitor;
-  ignore (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire);
-  ignore (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire);
-  check_i "hit before rebind" 1 (Monitor.stats monitor).Monitor.cache_hits;
-  (* Kernel update: the old reference no longer matches, but the cached
-     allow masks it until rebind refreshes anchor + generation. *)
+  check_b "allowed before update" true
+    (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire));
   Vtpm_xen.Domain.set_kernel dom ~image:"patched-kernel";
+  check_b "denied against the old anchor" true
+    (Result.is_error (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire));
   (match
      Monitor.management monitor ~process:"vtpm-manager" ~token:"tok"
        (Monitor.Rebind { vtpm_id = vid; new_domid = d })
@@ -864,27 +841,33 @@ let test_monitor_guard_cache_rebind_invalidates () =
   let gates_before = (Monitor.stats monitor).Monitor.gate_checks in
   check_b "allowed against new anchor" true
     (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire));
-  check_i "not served from stale cache" 1 (Monitor.stats monitor).Monitor.cache_hits;
   check_i "gate re-checked" (gates_before + 1) (Monitor.stats monitor).Monitor.gate_checks
 
-(* Policy reload resets generations and the cache wholesale. *)
-let test_monitor_guard_cache_reload_resets () =
+(* Under a guarded policy, measurement-independent decisions (here the
+   default denial of an admin command) are cached; a policy reload drops
+   them and recompiles the index, so the new policy decides at once. *)
+let test_monitor_reload_resets_cache_and_index () =
   let xen, mgr, monitor = mk_monitor () in
-  let d, vid = bind_guest xen mgr monitor "g1" in
+  let d, _ = bind_guest xen mgr monitor "g1" in
   Monitor.set_policy monitor (Policy.parse_exn guarded_policy_src);
-  Monitor.set_guard_cache_enabled monitor true;
-  let router = Monitor.router monitor in
+  let binding = Binding.lookup_domid monitor.Monitor.bindings d in
+  let save () =
+    fst
+      (Monitor.decide monitor ~subject:(Subject.Guest d) ~ordinal:Vtpm_tpm.Types.ord_save_state
+         ~binding)
+  in
   Monitor.reset_stats monitor;
-  ignore (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire);
-  ignore (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire);
-  check_i "hit before reload" 1 (Monitor.stats monitor).Monitor.cache_hits;
-  Monitor.set_policy monitor (Policy.parse_exn guarded_policy_src);
-  ignore (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire);
-  check_i "miss after reload" 1 (Monitor.stats monitor).Monitor.cache_hits;
-  check_i "subject generations cleared" 0 (Hashtbl.length monitor.Monitor.generations)
+  check_b "admin denied" true (save () = Policy.Deny);
+  check_b "admin denied again" true (save () = Policy.Deny);
+  check_i "unguarded denial cached" 1 (Monitor.stats monitor).Monitor.cache_hits;
+  check_i "no gate for it" 0 (Monitor.stats monitor).Monitor.gate_checks;
+  Monitor.set_policy monitor (Policy.parse_exn (guarded_policy_src ^ "allow guest:* class:admin\n"));
+  check_i "cache emptied" 0 (Hashtbl.length monitor.Monitor.cache);
+  check_b "new policy decides at once" true (save () = Policy.Allow);
+  check_i "miss after reload" 1 (Monitor.stats monitor).Monitor.cache_hits
 
-(* The per-subject key index makes [forget_subject] surgical: only the
-   departing subject's entries leave the cache. *)
+(* [forget_subject] is surgical: only the departing subject's entries
+   leave the cache. *)
 let test_monitor_forget_subject_key_index () =
   let xen, mgr, monitor = mk_monitor () in
   let d1, v1 = bind_guest xen mgr monitor "g1" in
@@ -893,38 +876,38 @@ let test_monitor_forget_subject_key_index () =
   Monitor.reset_stats monitor;
   ignore (router ~sender:d1 ~claimed_instance:v1 ~wire:pcr_read_wire);
   ignore (router ~sender:d2 ~claimed_instance:v2 ~wire:pcr_read_wire);
-  check_i "two cached verdicts" 2 (Hashtbl.length monitor.Monitor.cache);
+  check_i "two subjects cached" 2 (Hashtbl.length monitor.Monitor.cache);
   Monitor.forget_subject monitor (Subject.Guest d1);
   check_i "one survives" 1 (Hashtbl.length monitor.Monitor.cache);
-  check_b "departed key dropped from index" false
-    (Hashtbl.mem monitor.Monitor.cached_keys (Subject.cache_key (Subject.Guest d1)));
+  check_b "departed subject dropped" false
+    (Hashtbl.mem monitor.Monitor.cache (Subject.Guest d1));
   ignore (router ~sender:d2 ~claimed_instance:v2 ~wire:pcr_read_wire);
   check_i "survivor still hits" 1 (Monitor.stats monitor).Monitor.cache_hits;
   ignore (router ~sender:d1 ~claimed_instance:v1 ~wire:pcr_read_wire);
   check_i "departed subject misses" 1 (Monitor.stats monitor).Monitor.cache_hits
 
-(* Indexed evaluation is a pure perf switch: verdicts match the linear
-   monitor for every ordinal while scanning strictly fewer rules. *)
+(* The production monitor's verdicts equal the linear [Policy.eval] for
+   every ordinal, while the compiled index scans fewer rules. *)
 let test_monitor_indexed_mode_equivalence () =
-  let run ~indexed =
-    let xen, mgr, monitor = mk_monitor () in
-    let d, _ = bind_guest xen mgr monitor "g1" in
-    Monitor.set_cache_enabled monitor false;
-    Monitor.set_index_enabled monitor indexed;
-    let binding = Binding.lookup_domid monitor.Monitor.bindings d in
-    Monitor.reset_stats monitor;
-    let verdicts =
-      List.map
-        (fun ordinal ->
-          fst (Monitor.decide monitor ~subject:(Subject.Guest d) ~ordinal ~binding))
-        Vtpm_tpm.Types.all_ordinals
-    in
-    (verdicts, (Monitor.stats monitor).Monitor.rules_scanned)
+  let xen, mgr, monitor = mk_monitor () in
+  let d, _ = bind_guest xen mgr monitor "g1" in
+  Monitor.set_cache_enabled monitor false;
+  let binding = Binding.lookup_domid monitor.Monitor.bindings d in
+  let subject = Subject.Guest d in
+  let label = Subject.label ~xen subject in
+  let measured_ok () = Monitor.measurement_matches monitor ~subject ~binding in
+  Monitor.reset_stats monitor;
+  let linear_scanned =
+    List.fold_left
+      (fun acc ordinal ->
+        let lin = Policy.eval monitor.Monitor.policy ~subject ~label ~ordinal ~measured_ok in
+        check_b (Vtpm_tpm.Types.ordinal_name ordinal) true
+          (fst (Monitor.decide monitor ~subject ~ordinal ~binding) = lin.Policy.verdict);
+        acc + lin.Policy.scanned)
+      0 Vtpm_tpm.Types.all_ordinals
   in
-  let linear_verdicts, linear_scanned = run ~indexed:false in
-  let indexed_verdicts, indexed_scanned = run ~indexed:true in
-  check_b "verdicts identical" true (linear_verdicts = indexed_verdicts);
-  check_b "index scans fewer rules" true (indexed_scanned < linear_scanned)
+  check_b "index scans fewer rules" true
+    ((Monitor.stats monitor).Monitor.rules_scanned < linear_scanned)
 
 (* --- ACM (Chinese Wall + Type Enforcement) -------------------------------------- *)
 
@@ -1179,13 +1162,13 @@ let suite =
     Alcotest.test_case "monitor mgmt credential" `Quick test_monitor_management_credential_gate;
     Alcotest.test_case "monitor mgmt policy" `Quick test_monitor_management_policy_gate;
     Alcotest.test_case "monitor rebind" `Quick test_monitor_rebind;
-    Alcotest.test_case "guard cache hits" `Quick test_monitor_guard_cache_hits;
-    Alcotest.test_case "guard cache extend invalidates" `Quick
-      test_monitor_guard_cache_extend_invalidates;
-    Alcotest.test_case "guard cache bump on tamper" `Quick test_monitor_guard_cache_bump_on_tamper;
-    Alcotest.test_case "guard cache rebind invalidates" `Quick
-      test_monitor_guard_cache_rebind_invalidates;
-    Alcotest.test_case "guard cache reload resets" `Quick test_monitor_guard_cache_reload_resets;
+    Alcotest.test_case "guarded decision pays the gate every request" `Quick
+      test_monitor_guarded_gate_every_request;
+    Alcotest.test_case "kernel swap denies next guarded request" `Quick
+      test_monitor_kernel_swap_denies_next;
+    Alcotest.test_case "rebind re-anchors the gate" `Quick test_monitor_rebind_reanchors_gate;
+    Alcotest.test_case "policy reload resets cache and index" `Quick
+      test_monitor_reload_resets_cache_and_index;
     Alcotest.test_case "forget_subject key index" `Quick test_monitor_forget_subject_key_index;
     Alcotest.test_case "indexed mode equivalence" `Quick test_monitor_indexed_mode_equivalence;
     Alcotest.test_case "acm chinese wall" `Quick test_acm_chinese_wall;

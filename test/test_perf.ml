@@ -303,44 +303,222 @@ let test_hw_client_deterministic_across_churn () =
   check_b "session key independent of instance churn" true
     (session_key ~churn:false = session_key ~churn:true)
 
-(* --- PR 5: compiled index + generation cache ------------------------------------ *)
+(* --- Compiled index as the monitor's only evaluator ------------------------------- *)
 
 let test_fig2_compiled_series_flat () =
-  (* Acceptance: with the index on, per-request latency at 4096 rules
-     stays within 15% of the 16-rule point — rule-count independence. *)
-  let f2, _ = Experiments.fig2 ~rule_counts:[ 16; 4096 ] ~reps:50 ~include_compiled:true () in
+  (* Per-request latency at 4096 rules stays within 15% of the 16-rule
+     point — rule-count independence — while the linear reference grows. *)
+  let f2, _ = Experiments.fig2 ~rule_counts:[ 16; 4096 ] ~reps:50 () in
   let compiled = List.assoc "compiled" f2 in
   let small = List.assoc 16.0 compiled and big = List.assoc 4096.0 compiled in
   check_b
     (Printf.sprintf "compiled: %.2fus @16 vs %.2fus @4096 within 15%%" small big)
     true
     (Float.abs (big -. small) /. small <= 0.15);
-  (* Sanity: the linear no-cache series does grow with rule count. *)
-  let nocache = List.assoc "cache-off" f2 in
+  let linear = List.assoc "linear" f2 in
   check_b "linear series grows with rules" true
-    (List.assoc 4096.0 nocache > 2.0 *. List.assoc 16.0 nocache)
+    (List.assoc 4096.0 linear > 2.0 *. List.assoc 16.0 linear)
 
-let test_fig2_default_series_unperturbed () =
-  (* Emitting the compiled series must not disturb the two seed series:
-     same RNG draw order, same simulated clocks. *)
-  let base, _ = Experiments.fig2 ~rule_counts:[ 16; 256 ] ~reps:40 () in
-  let extended, _ = Experiments.fig2 ~rule_counts:[ 16; 256 ] ~reps:40 ~include_compiled:true () in
+let test_fig2_linear_reference_exact () =
+  (* The linear series is each compiled request plus the difference
+     between a linear scan's charge and the index's, both taken from
+     [Policy.eval]/[Policy.eval_indexed] on the same decision. *)
+  let counts = [ 16; 256 ] in
+  let f2, _ = Experiments.fig2 ~rule_counts:counts ~reps:40 () in
+  let linear = List.assoc "linear" f2 and compiled = List.assoc "compiled" f2 in
   List.iter
-    (fun name ->
-      check_b (name ^ " series bit-identical") true
-        (List.assoc name base = List.assoc name extended))
-    [ "cache-on"; "cache-off" ]
+    (fun n ->
+      let p = Policy.synthetic ~n in
+      let scanned eval =
+        (eval ~subject:(Subject.Guest 1) ~label:"tenant" ~ordinal:Vtpm_tpm.Types.ord_pcr_read
+           ~measured_ok:(fun () -> true))
+          .Policy.scanned
+      in
+      let extra =
+        (Vtpm_util.Cost.monitor_rule_scan_us
+        *. float_of_int (scanned (Policy.eval p) - scanned (Policy.eval_indexed (Policy.compile p))))
+        -. Vtpm_util.Cost.monitor_index_lookup_us
+      in
+      let x = float_of_int n in
+      Alcotest.(check (float 1e-6))
+        (Printf.sprintf "linear - compiled at %d rules" n)
+        extra
+        (List.assoc x linear -. List.assoc x compiled))
+    counts
 
-let test_fig9_index_and_gen_cache_scale () =
+let test_fig9_production_beats_linear () =
   let f9, _ = Experiments.fig9 ~vm_counts:[ 1; 8 ] ~rules:256 ~total_ops:240 () in
-  let at name = snd (List.hd (List.rev (List.assoc name f9))) in
-  let linear = at "linear" and indexed = at "indexed" and cached = at "indexed+gen-cache" in
-  check_b
-    (Printf.sprintf "indexed %.0f >= linear %.0f ops/s" indexed linear)
-    true (indexed >= linear);
-  check_b
-    (Printf.sprintf "gen-cache %.0f >= indexed %.0f ops/s" cached indexed)
-    true (cached >= indexed)
+  let linear = List.assoc "linear" f9 and production = List.assoc "production" f9 in
+  List.iter2
+    (fun (x, l) (_, p) ->
+      check_b (Printf.sprintf "production %.0f > linear %.0f ops/s at %.0f VMs" p l x) true (p > l))
+    linear production
+
+(* Differential: the production monitor (compiled index, decision cache
+   in front) against the linear [Policy.eval] oracle with a live gate,
+   over random sequences of requests, out-of-band kernel swaps, rebinds,
+   policy reloads and subject teardown. The verdict must match on every
+   request: in particular no cached Allow survives a kernel swap. *)
+type diff_op =
+  | Request of int * int  (** guest index, ordinal *)
+  | Swap_kernel of int * bool  (** guest index, back to its first image? *)
+  | Rebind of int
+  | Reload of int  (** policy index *)
+  | Forget of int
+
+let diff_guests = 3
+let diff_labels = [| "l0"; "l1"; "l0" |]
+
+let diff_ordinals =
+  Vtpm_tpm.Types.[| ord_extend; ord_pcr_read; ord_quote; ord_seal; ord_save_state; ord_get_random |]
+
+let diff_policy_gen =
+  let subject_sels =
+    [| "guest:1"; "guest:2"; "guest:3"; "guest:*"; "dom0:vtpm-manager"; "dom0:*"; "label:l0"; "label:l1"; "*" |]
+  in
+  let command_sels =
+    [| "*"; "class:measurement"; "class:sealing"; "class:admin"; "class:attestation"; "TPM_Extend"; "TPM_PCRRead" |]
+  in
+  QCheck.Gen.(
+    map
+      (fun (default_allow, rules) ->
+        String.concat "\n"
+          ((if default_allow then "default allow" else "default deny")
+          :: List.map
+               (fun (v, s, c, g) ->
+                 Printf.sprintf "%s %s %s%s"
+                   (if v then "allow" else "deny")
+                   subject_sels.(s mod Array.length subject_sels)
+                   command_sels.(c mod Array.length command_sels)
+                   (if g then " when measured" else ""))
+               rules))
+      (pair bool (list_size (int_range 1 12) (quad bool (int_bound 100) (int_bound 100) bool))))
+
+let diff_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 12,
+          map2
+            (fun g o -> Request (g, diff_ordinals.(o)))
+            (int_bound (diff_guests - 1))
+            (int_bound (Array.length diff_ordinals - 1)) );
+        (3, map2 (fun g back -> Swap_kernel (g, back)) (int_bound (diff_guests - 1)) bool);
+        (2, map (fun g -> Rebind g) (int_bound (diff_guests - 1)));
+        (1, map (fun i -> Reload i) (int_bound 2));
+        (1, map (fun g -> Forget g) (int_bound (diff_guests - 1)));
+      ])
+
+let diff_op_print = function
+  | Request (g, o) -> Printf.sprintf "request g%d %s" g (Vtpm_tpm.Types.ordinal_name o)
+  | Swap_kernel (g, back) -> Printf.sprintf "swap g%d %s" g (if back then "good" else "evil")
+  | Rebind g -> Printf.sprintf "rebind g%d" g
+  | Reload i -> Printf.sprintf "reload p%d" i
+  | Forget g -> Printf.sprintf "forget g%d" g
+
+let prop_monitor_matches_linear_oracle =
+  QCheck.Test.make ~name:"production monitor == linear Policy.eval oracle" ~count:120
+    (QCheck.make
+       ~print:(fun (ps, ops) ->
+         String.concat "\n---\n" ps ^ "\n===\n" ^ String.concat "\n" (List.map diff_op_print ops))
+       QCheck.Gen.(pair (list_repeat 3 diff_policy_gen) (list_size (int_range 1 60) diff_op_gen)))
+    (fun (sources, ops) ->
+      let policies = Array.of_list (List.map Policy.parse_exn sources) in
+      let xen = Vtpm_xen.Hypervisor.create () in
+      let mgr = Manager.create ~rsa_bits:256 ~seed:61 ~cost:xen.Vtpm_xen.Hypervisor.cost () in
+      let monitor = Monitor.create ~xen ~mgr ~policy:policies.(0) () in
+      Monitor.register_process monitor ~process:"vtpm-manager" ~token:"tok";
+      let oracle = ref policies.(0) in
+      let doms =
+        Array.init diff_guests (fun i ->
+            let d =
+              Result.get_ok
+                (Vtpm_xen.Hypervisor.create_domain xen ~caller:0 ~name:(Printf.sprintf "g%d" i)
+                   ~label:diff_labels.(i) ())
+            in
+            let dom = Vtpm_xen.Hypervisor.domain_exn xen d in
+            Vtpm_xen.Domain.set_kernel dom ~image:"good";
+            dom)
+      in
+      (* The oracle's own record of each binding's reference measurement. *)
+      let reference =
+        Array.mapi
+          (fun i (dom : Vtpm_xen.Domain.t) ->
+            ignore
+              (Result.get_ok
+                 (Binding.bind monitor.Monitor.bindings ~vtpm_id:(10 + i) ~domid:dom.Vtpm_xen.Domain.id
+                    ~reference_measurement:dom.Vtpm_xen.Domain.kernel_digest));
+            dom.Vtpm_xen.Domain.kernel_digest)
+          doms
+      in
+      let oracle_verdict subject ~label ~ordinal ~gate =
+        (Policy.eval !oracle ~subject ~label ~ordinal ~measured_ok:gate).Policy.verdict
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Request (g, ordinal) ->
+              let dom = doms.(g) in
+              let subject = Subject.Guest dom.Vtpm_xen.Domain.id in
+              let binding = Binding.lookup_domid monitor.Monitor.bindings dom.Vtpm_xen.Domain.id in
+              let got, _ = Monitor.decide monitor ~subject ~ordinal ~binding in
+              got
+              = oracle_verdict subject ~label:diff_labels.(g) ~ordinal ~gate:(fun () ->
+                    String.equal dom.Vtpm_xen.Domain.kernel_digest reference.(g))
+          | Swap_kernel (g, back) ->
+              Vtpm_xen.Domain.set_kernel doms.(g) ~image:(if back then "good" else "rootkit");
+              true
+          | Rebind g ->
+              let dom = doms.(g) in
+              let allowed =
+                oracle_verdict (Subject.Dom0_process "vtpm-manager") ~label:"dom0:vtpm-manager"
+                  ~ordinal:Vtpm_tpm.Types.ord_save_state ~gate:(fun () -> true)
+                = Policy.Allow
+              in
+              let r =
+                Monitor.management monitor ~process:"vtpm-manager" ~token:"tok"
+                  (Monitor.Rebind { vtpm_id = 10 + g; new_domid = dom.Vtpm_xen.Domain.id })
+              in
+              if Result.is_ok r then reference.(g) <- dom.Vtpm_xen.Domain.kernel_digest;
+              Result.is_ok r = allowed
+          | Reload i ->
+              Monitor.set_policy monitor policies.(i);
+              oracle := policies.(i);
+              true
+          | Forget g ->
+              Monitor.forget_subject monitor (Subject.Guest doms.(g).Vtpm_xen.Domain.id);
+              true)
+        ops)
+
+(* On a synthetic guarded policy each decision scans a handful of
+   candidates and pays the gate, and a kernel swap with no other call
+   makes the next guarded request deny — there is no cached Allow to
+   outlive it. *)
+let test_gated_decisions_indexed_and_live () =
+  let xen = Vtpm_xen.Hypervisor.create () in
+  let mgr = Manager.create ~rsa_bits:256 ~seed:61 ~cost:xen.Vtpm_xen.Hypervisor.cost () in
+  let monitor = Monitor.create ~xen ~mgr ~policy:(Policy.synthetic_guarded ~n:64) () in
+  let d =
+    Result.get_ok (Vtpm_xen.Hypervisor.create_domain xen ~caller:0 ~name:"g" ~label:"t" ())
+  in
+  let dom = Vtpm_xen.Hypervisor.domain_exn xen d in
+  ignore
+    (Result.get_ok
+       (Binding.bind monitor.Monitor.bindings ~vtpm_id:1 ~domid:d
+          ~reference_measurement:dom.Vtpm_xen.Domain.kernel_digest));
+  let binding = Binding.lookup_domid monitor.Monitor.bindings d in
+  let decide () =
+    fst (Monitor.decide monitor ~subject:(Subject.Guest d) ~ordinal:Vtpm_tpm.Types.ord_pcr_read ~binding)
+  in
+  for _ = 1 to 3 do
+    check_b "measured guest allowed" true (decide () = Policy.Allow)
+  done;
+  Vtpm_xen.Domain.set_kernel dom ~image:"rootkit";
+  check_b "next guarded request denied" true (decide () = Policy.Deny);
+  let s = Monitor.stats monitor in
+  check_i "guarded decisions never served from cache" 0 s.Monitor.cache_hits;
+  check_i "gate paid on every request" 4 s.Monitor.gate_checks;
+  check_b "a handful of candidates per request" true (s.Monitor.rules_scanned <= 4 * 5)
 
 let suite =
   [
@@ -371,8 +549,11 @@ let suite =
       test_hw_client_deterministic_across_churn;
     Alcotest.test_case "fig2: compiled series flat in rules" `Quick
       test_fig2_compiled_series_flat;
-    Alcotest.test_case "fig2: default series unperturbed" `Quick
-      test_fig2_default_series_unperturbed;
-    Alcotest.test_case "fig9: index and gen-cache scale" `Quick
-      test_fig9_index_and_gen_cache_scale;
+    Alcotest.test_case "fig2: linear reference is exact" `Quick
+      test_fig2_linear_reference_exact;
+    Alcotest.test_case "fig9: production beats linear reference" `Quick
+      test_fig9_production_beats_linear;
+    QCheck_alcotest.to_alcotest prop_monitor_matches_linear_oracle;
+    Alcotest.test_case "monitor: gated decisions indexed and live" `Quick
+      test_gated_decisions_indexed_and_live;
   ]

@@ -1,7 +1,8 @@
 (* The event-driven backend pump: a differential property against the
-   full sweep, the fuzzer's pump-liveness invariant under lossy
-   notifications (its clean-run form is part of every fuzz soak), and
-   the ring-visit count on a large host. *)
+   full sweep, the work-list invariant, the fuzzer's pump-liveness
+   invariant under lossy notifications (its clean-run form is part of
+   every fuzz soak), the lost-response-kick regression, and the ring
+   counts on a large host. *)
 
 open Vtpm_xen
 open Vtpm_access
@@ -206,6 +207,44 @@ let prop_pump_matches_sweep =
       | None -> true
       | Some m -> QCheck.Test.fail_reportf "%s" m)
 
+(* The work-list invariant, checked after every step of a schedule: every
+   connection whose ring has unconsumed requests is listed, and the
+   listed connections are exactly the backend's work list. *)
+let work_list_violation side =
+  let backend = side.host.Host.backend in
+  let unlisted =
+    List.find_opt
+      (fun (c : Driver.connection) ->
+        Ring.has_unconsumed_requests c.Driver.ring && not c.Driver.listed)
+      backend.Driver.connections
+  in
+  match unlisted with
+  | Some c -> Some (Printf.sprintf "ring of domain %d has work but is not listed" c.Driver.fe_domid)
+  | None ->
+      let work = backend.Driver.work in
+      if List.exists (fun c -> not c.Driver.listed) work then Some "work list holds an unlisted ring"
+      else if
+        List.exists
+          (fun (c : Driver.connection) -> c.Driver.listed && not (List.memq c work))
+          backend.Driver.connections
+      then Some "a listed ring is missing from the work list"
+      else None
+
+let prop_work_list_covers_busy_rings =
+  QCheck.Test.make ~count:40 ~name:"every ring with unconsumed requests is on the work list"
+    QCheck.(pair (int_bound 9999) arb_schedule)
+    (fun (faults_seed, schedule) ->
+      let side = make_side ~faults_seed Driver.process_kicked in
+      let rec go i = function
+        | [] -> true
+        | ((tag, arg) as pair) :: rest -> (
+            apply side (decode pair);
+            match work_list_violation side with
+            | None -> go (i + 1) rest
+            | Some m -> QCheck.Test.fail_reportf "after step %d (%d, %d): %s" i tag arg m)
+      in
+      go 0 schedule)
+
 (* The router remaps an idle ring's grant while a pump is half done.
    [connections] lists the newest guest first, so guest 3's ring is
    visited first and guest 0's last. A sweep catches the remap on the
@@ -244,6 +283,50 @@ let test_liveness_lossy_kicks () =
   done;
   check_b "notifications were dropped or duplicated" true (!faults > 0)
 
+(* When only the response kick is lost, the retry finds the answer already
+   in the ring instead of re-sending: the command runs once. *)
+let test_lost_response_kick_runs_once () =
+  let host = Host.create ~mode:Host.Improved_mode ~seed:3 ~rsa_bits:256 () in
+  let g = Host.create_guest_exn host ~name:"g" ~label:"tenant" () in
+  let faults = Faults.create ~seed:1 () in
+  Hypervisor.set_faults host.Host.xen faults;
+  let backend = host.Host.backend in
+  backend.Driver.resilience <- Some Driver.default_resilience;
+  let routed = ref 0 in
+  let route = backend.Driver.router in
+  backend.Driver.router <-
+    (fun ~sender ~claimed_instance ~wire ->
+      incr routed;
+      (* The next notification is the backend's response kick. *)
+      if !routed = 1 then Faults.schedule faults Faults.Drop_notify;
+      route ~sender ~claimed_instance ~wire);
+  let digest = Vtpm_crypto.Sha1.digest "once" in
+  let wire = Vtpm_tpm.Wire.encode_request (Vtpm_tpm.Cmd.Extend { pcr = 10; digest }) in
+  (match Driver.request_with_info backend g.Host.conn ~wire with
+  | Ok o ->
+      check_b "answered" true (o.Driver.status = Vtpm_mgr.Proto.Ok_routed);
+      check_b "on a retry" true o.Driver.recovered
+  | Error e -> Alcotest.failf "extend failed: %s" (Vtpm_util.Verror.to_string e));
+  check_i "response kick was dropped" 0 (Faults.scheduled faults Faults.Drop_notify);
+  check_i "routed once" 1 !routed;
+  let inst = Result.get_ok (Vtpm_mgr.Manager.find host.Host.mgr g.Host.vtpm_id) in
+  check_b "PCR 10 extended once" true
+    (Vtpm_tpm.Engine.pcr_value inst.Vtpm_mgr.Manager.engine 10
+    = Ok (Vtpm_crypto.Sha1.digest (String.make 20 '\000' ^ digest)))
+
+(* The fuzz traces that caught the double execution: with 20 % of kicks
+   dropped or duplicated, the engine's PCR 10 matches the shadow model. *)
+let test_lossy_kick_traces_match_shadow () =
+  List.iter
+    (fun i ->
+      let r = Fuzz.run_trace ~seed:(40 + i) ~kick_faults:0.2 (Fuzz.gen_trace ~seed:17 ~index:i ()) in
+      match
+        List.filter (String.starts_with ~prefix:"engine PCR 10 diverged") r.Fuzz.violations
+      with
+      | [] -> ()
+      | v :: _ -> Alcotest.failf "trace %d: %s" i v)
+    [ 0; 13; 20 ]
+
 (* --- Ring visits ---------------------------------------------------------------- *)
 
 let test_one_request_one_ring () =
@@ -280,12 +363,38 @@ let test_one_request_one_ring () =
   read (List.nth gs 77);
   check_i "then one ring again" 1 (Driver.ring_visits backend - before)
 
+(* The kicked pump finds the ring with work on the work list: one kick on
+   an otherwise idle 128-guest host examines one ring, where a walk of
+   the connection list would check all 128. *)
+let test_idle_kick_examines_one_ring () =
+  let host = Host.create ~mode:Host.Improved_mode ~seed:3 ~rsa_bits:256 () in
+  let gs =
+    Array.init 128 (fun i ->
+        Host.create_guest_exn host ~name:(Printf.sprintf "g%d" i)
+          ~label:(Printf.sprintf "tenant_%d" (i mod 4)) ())
+  in
+  let backend = host.Host.backend in
+  let read (g : Host.guest) = ignore (Driver.request backend g.Host.conn ~wire:(command 0)) in
+  read gs.(0);
+  check_i "nothing left listed" 0 (List.length backend.Driver.work);
+  let before = Driver.ring_checks backend in
+  read gs.(77);
+  check_i "one kick examines one ring" 1 (Driver.ring_checks backend - before);
+  check_i "and leaves the list empty" 0 (List.length backend.Driver.work)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pump_matches_sweep;
+    QCheck_alcotest.to_alcotest prop_work_list_covers_busy_rings;
     Alcotest.test_case "grant changes reach the pump" `Quick test_grant_changes_reach_the_pump;
     Alcotest.test_case "liveness under dropped and duplicated kicks" `Slow
       test_liveness_lossy_kicks;
     Alcotest.test_case "one request on 128 guests visits one ring" `Quick
       test_one_request_one_ring;
+    Alcotest.test_case "one kick on an idle 128-guest host examines one ring" `Quick
+      test_idle_kick_examines_one_ring;
+    Alcotest.test_case "lost response kick runs the command once" `Quick
+      test_lost_response_kick_runs_once;
+    Alcotest.test_case "lossy-kick fuzz traces match the shadow PCRs" `Slow
+      test_lossy_kick_traces_match_shadow;
   ]

@@ -171,7 +171,8 @@ let test_experiment_fig2_shape () =
     | _ -> Alcotest.fail "expected two points"
   in
   check_b "cache flat" true (slope (get "cache-on") < 5.0);
-  check_b "no-cache grows" true (slope (get "cache-off") > 50.0)
+  check_b "compiled flat" true (slope (get "compiled") < 5.0);
+  check_b "linear grows" true (slope (get "linear") > 50.0)
 
 let test_experiment_fig4_shape () =
   let series, _ = Vtpm_sim.Experiments.fig4 ~state_kibs:[ 4; 32 ] () in
@@ -212,13 +213,13 @@ let frozen_renders : (string * string * (unit -> string)) list =
       "1a99f0c10b0ef88cbacf6cf4a080ebef82b701c300f52b5f151431ece90a40d1",
       table2 );
     ( "table3",
-      "baf2ffc48ae365054ce885f5fdc4dc04aa4637de2015776d75872becd5cd6df5",
+      "6c3ea539cabfebcb8ac351ae03a05513904a7065c6a8a5ec0e217e049a019168",
       fun () -> snd (E.table3 ()) );
     ( "table4",
-      "ab6f08935c5c186d61cf9755b8c44d1c6cb0c4043c394a4fc39f5471a8b29326",
+      "2dfe8b77018124eb9f218ac923afb5e6d67639cc142569ab8e7b70df69513274",
       fun () -> snd (E.table4 ~requests:200 ()) );
     ( "table5",
-      "b209a0d61dd8997dc7188d0fe5ddabb1a2f446d22898d39778d0b121cb4e64b6",
+      "b383052daa75c796cefaa522df4804a323bca1ae5d2b4e4f676f914be625bcaa",
       fun () ->
         snd (E.table5 ~victim_ops:60 ())
         ^ E.render_wedge_drill (E.wedge_drill ~requests:60 ~seed:97 ()) );
@@ -228,7 +229,7 @@ let frozen_renders : (string * string * (unit -> string)) list =
         let drill, rendered = E.table6 () in
         rendered ^ E.render_migration_drill drill );
     ( "table7",
-      "0b814e55f2866921a6cb86fec1a73693ad689c4aba7dcea7001d21bd8b02e563",
+      "c84226817ca79b670e96b5373a15931fa408a729cfa8aec27538d794175f54e2",
       fun () -> snd (E.table7 ~traces:12 ()) );
     ( "table8",
       "3774df9a60c0c90d44cf57828fdcf7987b660796f18231bf7a2fe3221cb9fa0a",
@@ -236,28 +237,28 @@ let frozen_renders : (string * string * (unit -> string)) list =
         let _, _, rendered = E.table8 () in
         rendered );
     ( "table9",
-      "7f2a15b4879c94d57e1ca732f0d40d448910636715be65339a910f9a8e5305df",
+      "27d1fbbb8fb419cf720d3bafb25d4b18660d7bb1d3f6a88e2d8af9b49194ebe9",
       fun () -> snd (E.table9 ~victim_ops:60 ()) );
     ( "fig2",
-      "fd76229e85ff77f43a86b12b999c8668b99dfbcf08cba5a1feba4a6797b31fb4",
-      fun () -> snd (E.fig2 ~reps:50 ~include_compiled:true ()) );
+      "0d2a313ec960934ff402a4ad9d553daeed36c66a6890604114bf1b8d7198f831",
+      fun () -> snd (E.fig2 ~reps:50 ()) );
     ( "fig3",
-      "30f2b1aff9cd7b8953a9e6aacbf6cac4b844a98f57279bbb51ac32eb7124aeae",
+      "b5b6a3e98d2b818263e22c9b5514b08dd68261f9515d9301bc19634a54325c72",
       fun () -> snd (E.fig3 ~ops_per_tenant:60 ()) );
     ( "fig4",
-      "6171f8b88587f8c0a575482e46d4383f89e030ef9bffaf15efdc917cb57aa01d",
+      "01f8e1b62a3757fde990791173da8c8a6efbec95175d91066e1918a57c1c6dbe",
       fun () -> snd (E.fig4 ()) );
     ( "fig5",
-      "d74c590cf234b5ffaed2d8f4202932a995dfd85eb8d03a51f45be790a8ef504a",
+      "26bafc107396fe9c11a9c0c8bcb2d0bbd9f8c8fb74d29432326a3098c67b7f17",
       fun () -> snd (E.fig5 ~reps:50 ()) );
     ( "fig6",
-      "5db1652f3b74ef61ac283bc37e051fbc7b7825acfe65d4789be47d0566426cfb",
+      "9af55725e35cb88d1e07716beeacd9442c5cce5be52202a42892c55afde81be4",
       fun () -> snd (E.fig6 ~requests:100 ()) );
     ( "fig7",
       "0b241604d8cf985c2501e2cd4abd4f7e739c399d7cfbfdce21e5d75e4f92c5c3",
       fun () -> snd (E.fig7 ~victim_ops:40 ()) );
     ( "fig9",
-      "85154e6298b66c825cc6153955d328de30064c063fae1b232c4e70e120394b9a",
+      "19ca54ac631233fa284b1e2f28425a91a149400489d42a1fde4760bee84bd647",
       fun () -> snd (E.fig9 ~vm_counts:[ 1; 4; 16 ] ~total_ops:480 ()) );
     ( "fig10",
       "f8a1e48ecf85c4c64e38094a7f90764592ea43f84d1a0225dedd6b57f83fe5de",
@@ -271,10 +272,10 @@ let frozen_renders : (string * string * (unit -> string)) list =
       "248676002c5ed08f4b538712ed9893c3e7bc5859108be38a01b14aefeaada3e2",
       fun () -> snd (E.fig12 ()) );
     ( "fig13",
-      "49c7cb4aacd649354772a2be8aeee69dd940474c8dbfcc4e22794a4c5e00f31e",
+      "316095c818d890a44a920b2b10a940ef22181f0a1d1e4c7740e82a7eb30c9fbd",
       fun () -> snd (E.fig13 ~vm_counts:[ 8; 16 ] ~total_ops:256 ()) );
     ( "fig14",
-      "191172195a06da04f76483b716c6414966facc10e0b7355b1c7749177f7a948d",
+      "6f20f992913ffec7aaba28c9230e0a19cbfe5cd3645f10e5235014adf997c456",
       fun () -> snd (E.fig14 ~vm_counts:[ 4; 8 ] ~rules:64 ~total_ops:64 ()) );
   ]
 
@@ -290,7 +291,7 @@ let test_seed_figures_frozen () =
     (Vtpm_crypto.Sha256.hexdigest fig1);
   Alcotest.(check string)
     "fig8 rendered table unchanged"
-    "8770cc791e1108fa57b5d2593a7089b4b3f2306b257915461bbbf8c1bb1dd99b"
+    "e336199726bb3c936364918ed26135f99c73494610adfcab8cc34fa94e5bcbc3"
     (Vtpm_crypto.Sha256.hexdigest fig8);
   List.iter
     (fun (name, expected, render) ->

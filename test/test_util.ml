@@ -188,6 +188,46 @@ let prop_codec_u64_roundtrip =
       Codec.write_u64 w v;
       Codec.read_u64 (Codec.reader (Codec.contents w)) = v)
 
+(* --- CRC-32 ------------------------------------------------------------------------ *)
+
+(* The boxed-Int32 formulation the native-int one replaced, kept as the
+   differential oracle. *)
+let crc32_reference (s : string) : int32 =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          if Int32.logand !c 1l <> 0l then
+            c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else c := Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let crc = ref 0xFFFFFFFFl in
+  String.iter
+    (fun ch ->
+      let idx = Int32.to_int (Int32.logand (Int32.logxor !crc (Int32.of_int (Char.code ch))) 0xFFl) in
+      crc := Int32.logxor table.(idx) (Int32.shift_right_logical !crc 8))
+    s;
+  Int32.logxor !crc 0xFFFFFFFFl
+
+let test_crc32_vectors () =
+  let check name expected s = Alcotest.(check int32) name expected (Vtpm_util.Crc32.digest s) in
+  check "empty" 0l "";
+  check "check value" 0xCBF43926l "123456789";
+  check "fox" 0x414FA339l "The quick brown fox jumps over the lazy dog";
+  Alcotest.(check int) "sub of a window" 0xCBF43926
+    (Vtpm_util.Crc32.sub "xx123456789yy" ~pos:2 ~len:9);
+  Alcotest.check_raises "range outside the string" (Invalid_argument "Crc32.sub") (fun () ->
+      ignore (Vtpm_util.Crc32.sub "abc" ~pos:2 ~len:2))
+
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"crc32 native == boxed Int32 reference" ~count:500 QCheck.string
+    (fun s ->
+      Vtpm_util.Crc32.digest s = crc32_reference s
+      && Vtpm_util.Crc32.sub s ~pos:0 ~len:(String.length s)
+         = Int32.to_int (crc32_reference s) land 0xFFFFFFFF)
+
 let suite =
   [
     Alcotest.test_case "hex encode" `Quick test_hex_encode;
@@ -213,4 +253,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
     QCheck_alcotest.to_alcotest prop_codec_sized_roundtrip;
     QCheck_alcotest.to_alcotest prop_codec_u64_roundtrip;
+    Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
+    QCheck_alcotest.to_alcotest prop_crc32_matches_reference;
   ]

@@ -47,6 +47,35 @@ let test_proto_v2_integrity () =
   check_b "response corruption detected" true
     (Result.is_error (Proto.decode_response (Bytes.to_string rflip)))
 
+(* The frames as the [Codec] writer assembled them before framing was
+   done in place: the differential oracle for byte-identical output. *)
+let reference_frame body =
+  let module C = Vtpm_util.Codec in
+  let w = C.writer () in
+  C.write_u8 w Proto.version;
+  C.write_u32 w (Vtpm_util.Crc32.digest body);
+  C.write_bytes w body;
+  C.contents w
+
+let prop_proto_frames_match_reference =
+  QCheck.Test.make ~name:"proto frames byte-identical to the codec-built reference" ~count:300
+    QCheck.(triple int (int_bound 2) string)
+    (fun (claimed_instance, st, payload) ->
+      let module C = Vtpm_util.Codec in
+      let req_body =
+        let w = C.writer () in
+        C.write_u32_int w claimed_instance;
+        C.write_bytes w payload;
+        C.contents w
+      in
+      let st = Option.get (Proto.status_of_code st) in
+      let req = Proto.encode_request ~claimed_instance payload in
+      let resp = Proto.encode_response st payload in
+      req = reference_frame req_body
+      && resp = reference_frame (String.make 1 (Char.chr (Proto.status_code st)) ^ payload)
+      && Proto.decode_request req = Ok (claimed_instance land 0xffffffff, payload)
+      && Proto.decode_response resp = Ok (st, payload))
+
 (* --- Manager --------------------------------------------------------------------- *)
 
 let mk_manager ?(seed = 13) () =
@@ -493,6 +522,7 @@ let suite =
     Alcotest.test_case "proto request roundtrip" `Quick test_proto_request_roundtrip;
     Alcotest.test_case "proto response roundtrip" `Quick test_proto_response_roundtrip;
     Alcotest.test_case "proto v2 integrity" `Quick test_proto_v2_integrity;
+    QCheck_alcotest.to_alcotest prop_proto_frames_match_reference;
     Alcotest.test_case "manager instances" `Quick test_manager_instances;
     Alcotest.test_case "manager isolation" `Quick test_manager_instance_isolation;
     Alcotest.test_case "manager suspended rejects" `Quick test_manager_suspended_rejects;
