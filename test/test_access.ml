@@ -775,8 +775,25 @@ let bind_guest xen mgr monitor name =
 let pcr_read_wire = Vtpm_tpm.Wire.encode_request (Vtpm_tpm.Cmd.Pcr_read { pcr = 0 })
 
 (* A decision that consulted the measurement gate is never cached: every
-   request pays the gate, before and after an allowed Extend. *)
+   request pays the gate. *)
 let test_monitor_guarded_gate_every_request () =
+  let xen, mgr, monitor = mk_monitor () in
+  let d, vid = bind_guest xen mgr monitor "g1" in
+  Monitor.set_policy monitor (Policy.parse_exn guarded_policy_src);
+  let router = Monitor.router monitor in
+  Monitor.reset_stats monitor;
+  for _ = 1 to 5 do
+    check_b "read allowed" true
+      (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire))
+  done;
+  let s = Monitor.stats monitor in
+  check_i "five lookups" 5 s.Monitor.lookups;
+  check_i "no hits for gated decisions" 0 s.Monitor.cache_hits;
+  check_i "gate paid every request" 5 s.Monitor.gate_checks
+
+(* An allowed PCR-mutating command leaves nothing to invalidate: the reads
+   on either side of it each pay the gate and none is served from cache. *)
+let test_monitor_extend_leaves_gate_live () =
   let xen, mgr, monitor = mk_monitor () in
   let d, vid = bind_guest xen mgr monitor "g1" in
   Monitor.set_policy monitor (Policy.parse_exn guarded_policy_src);
@@ -786,18 +803,19 @@ let test_monitor_guarded_gate_every_request () =
       (Vtpm_tpm.Cmd.Extend { pcr = 10; digest = String.make 20 '\x2a' })
   in
   Monitor.reset_stats monitor;
-  for _ = 1 to 5 do
-    check_b "read allowed" true
-      (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire))
-  done;
+  check_b "read allowed" true
+    (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire));
+  check_b "second read allowed" true
+    (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire));
+  check_i "second read not cached" 0 (Monitor.stats monitor).Monitor.cache_hits;
   check_b "extend allowed" true
     (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:extend_wire));
   check_b "read after extend allowed" true
     (Result.is_ok (router ~sender:d ~claimed_instance:vid ~wire:pcr_read_wire));
   let s = Monitor.stats monitor in
-  check_i "seven lookups" 7 s.Monitor.lookups;
-  check_i "no hits for gated decisions" 0 s.Monitor.cache_hits;
-  check_i "gate paid every request" 7 s.Monitor.gate_checks
+  check_i "four lookups" 4 s.Monitor.lookups;
+  check_i "no hits across the extend" 0 s.Monitor.cache_hits;
+  check_i "gate paid every request" 4 s.Monitor.gate_checks
 
 (* An out-of-band kernel swap — no mediated PCR write, no other call —
    denies the very next guarded request: there is no cached Allow. *)
@@ -1164,6 +1182,7 @@ let suite =
     Alcotest.test_case "monitor rebind" `Quick test_monitor_rebind;
     Alcotest.test_case "guarded decision pays the gate every request" `Quick
       test_monitor_guarded_gate_every_request;
+    Alcotest.test_case "extend leaves the gate live" `Quick test_monitor_extend_leaves_gate_live;
     Alcotest.test_case "kernel swap denies next guarded request" `Quick
       test_monitor_kernel_swap_denies_next;
     Alcotest.test_case "rebind re-anchors the gate" `Quick test_monitor_rebind_reanchors_gate;

@@ -385,12 +385,12 @@ let test_idle_kick_examines_one_ring () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pump_matches_sweep;
-    QCheck_alcotest.to_alcotest prop_work_list_covers_busy_rings;
     Alcotest.test_case "grant changes reach the pump" `Quick test_grant_changes_reach_the_pump;
     Alcotest.test_case "liveness under dropped and duplicated kicks" `Slow
       test_liveness_lossy_kicks;
     Alcotest.test_case "one request on 128 guests visits one ring" `Quick
       test_one_request_one_ring;
+    QCheck_alcotest.to_alcotest prop_work_list_covers_busy_rings;
     Alcotest.test_case "one kick on an idle 128-guest host examines one ring" `Quick
       test_idle_kick_examines_one_ring;
     Alcotest.test_case "lost response kick runs the command once" `Quick
