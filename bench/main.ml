@@ -9,19 +9,117 @@
      dune exec bench/main.exe -- micro        # only Bechamel
 
    Experiment latencies are simulated microseconds (deterministic); the
-   Bechamel section reports real wall-clock of this implementation. *)
+   Bechamel section reports real wall-clock of this implementation.
+   Sections with invariants pass them through one gate: every requested
+   section runs, then the failed checks are listed and the run exits
+   non-zero. *)
 
 open Bechamel
 open Toolkit
 
 let say fmt = Format.printf fmt
 
-(* --- Experiment sections ----------------------------------------------------- *)
-
-let run_table1 () =
-  let _, rendered = Vtpm_sim.Experiments.table1 () in
+let show rendered =
   print_string rendered;
   print_newline ()
+
+(* --- Artifacts and the gate ------------------------------------------------------ *)
+
+(* The BENCH_PR*.json artifacts share one value type and one printer.
+   Numbers are formatted where they are built, so each field keeps its
+   own precision; a NaN becomes [null]. *)
+type json =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Num of string
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+let fixed digits v = if Float.is_nan v then Null else Num (Printf.sprintf "%.*f" digits v)
+let opt_fixed digits = function Some v -> fixed digits v | None -> Null
+
+let series_json ~digits series =
+  Obj
+    (List.map
+       (fun (name, points) ->
+         ( name,
+           Arr (List.map (fun (x, y) -> Arr [ Num (Printf.sprintf "%g" x); fixed digits y ]) points)
+         ))
+       series)
+
+let checks_json checks = Obj (List.map (fun (name, ok) -> (name, Bool ok)) checks)
+
+(* Objects and arrays of objects take one member per line; other arrays
+   (series points, scalars) stay on one line. *)
+let rec add_json buf indent v =
+  let block opening closing items add_item =
+    Buffer.add_string buf opening;
+    let inner = indent ^ "  " in
+    List.iteri
+      (fun i item ->
+        Buffer.add_string buf (if i = 0 then "\n" else ",\n");
+        Buffer.add_string buf inner;
+        add_item inner item)
+      items;
+    Buffer.add_string buf ("\n" ^ indent ^ closing)
+  in
+  match v with
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Num s -> Buffer.add_string buf s
+  | Str s -> Buffer.add_string buf (Printf.sprintf "%S" s)
+  | Obj [] -> Buffer.add_string buf "{}"
+  | Obj fields ->
+      block "{" "}" fields (fun inner (k, v) ->
+          Buffer.add_string buf (Printf.sprintf "%S: " k);
+          add_json buf inner v)
+  | Arr items when List.exists (function Obj _ -> true | _ -> false) items ->
+      block "[" "]" items (add_json buf)
+  | Arr items ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add_json buf indent item)
+        items;
+      Buffer.add_char buf ']'
+
+let emit ~pr ~figure ~unit ~x_label fields =
+  let file = Printf.sprintf "BENCH_PR%d.json" pr in
+  let buf = Buffer.create 4096 in
+  add_json buf ""
+    (Obj
+       (("pr", Int pr) :: ("figure", Str figure) :: ("unit", Str unit)
+       :: ("x_label", Str x_label) :: fields));
+  Buffer.add_char buf '\n';
+  Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc (Buffer.contents buf));
+  say "wrote %s@." file
+
+(* (section, check) of every failed check so far; the driver lists them
+   and exits non-zero once every requested section has run. *)
+let failed : (string * string) list ref = ref []
+
+let gate ~section checks =
+  List.iter
+    (fun (name, ok) ->
+      say "%s check %-46s %s@." section name (if ok then "PASS" else "FAIL");
+      if not ok then failed := (section, name) :: !failed)
+    checks
+
+let point series name x = Option.bind (List.assoc_opt name series) (List.assoc_opt x)
+
+let ratio_at series ~over name x =
+  match (point series over x, point series name x) with
+  | Some d, Some n when d > 0.0 -> Some (n /. d)
+  | _ -> None
+
+(* --- Experiment sections ----------------------------------------------------- *)
+
+(* A section that only prints its rendered table or figure. *)
+let plain f () = show (snd (f ()))
 
 let run_table2 () =
   let battery mode = Vtpm_attacks.Attack.run_battery ~mode in
@@ -34,106 +132,27 @@ let run_table2 () =
         [ b.attack; cell b; cell i; i.detail ])
       baseline improved
   in
-  print_string
+  show
     (Vtpm_sim.Table.render
        ~title:"Table 2: attack outcomes, baseline vs improved (RETRIEVED = attacker wins)"
        ~header:[ "attack"; "baseline"; "improved"; "improved detail" ]
-       ~rows);
-  print_newline ()
-
-let run_table3 () =
-  let _, rendered = Vtpm_sim.Experiments.table3 () in
-  print_string rendered;
-  print_newline ()
-
-let run_fig1 () =
-  let _, rendered = Vtpm_sim.Experiments.fig1 () in
-  print_string rendered;
-  print_newline ()
-
-let run_fig2 () =
-  let _, rendered = Vtpm_sim.Experiments.fig2 () in
-  print_string rendered;
-  print_newline ()
-
-let run_fig3 () =
-  let _, rendered = Vtpm_sim.Experiments.fig3 () in
-  print_string rendered;
-  print_newline ()
-
-let run_fig4 () =
-  let _, rendered = Vtpm_sim.Experiments.fig4 () in
-  print_string rendered;
-  print_newline ()
-
-let run_fig5 () =
-  let _, rendered = Vtpm_sim.Experiments.fig5 () in
-  print_string rendered;
-  print_newline ()
-
-let run_table4 () =
-  let _, rendered = Vtpm_sim.Experiments.table4 () in
-  print_string rendered;
-  print_newline ()
-
-let run_fig6 () =
-  let _, rendered = Vtpm_sim.Experiments.fig6 () in
-  print_string rendered;
-  print_newline ()
+       ~rows)
 
 let run_table5 () =
-  let _, rendered = Vtpm_sim.Experiments.table5 () in
-  print_string rendered;
-  print_newline ();
-  let drill = Vtpm_sim.Experiments.wedge_drill ~seed:97 () in
-  print_string (Vtpm_sim.Experiments.render_wedge_drill drill);
-  print_newline ()
-
-let run_fig7 () =
-  let _, rendered = Vtpm_sim.Experiments.fig7 () in
-  print_string rendered;
-  print_newline ()
+  plain Vtpm_sim.Experiments.table5 ();
+  show (Vtpm_sim.Experiments.render_wedge_drill (Vtpm_sim.Experiments.wedge_drill ~seed:97 ()))
 
 (* fig8 also emits BENCH_PR4.json so CI and regression tooling can diff
    the lane-scaling numbers without scraping the rendered table. *)
 let run_fig8 () =
   let series, rendered = Vtpm_sim.Experiments.fig8 () in
-  print_string rendered;
-  print_newline ();
-  let point_at x points = List.assoc_opt x points in
-  let speedup =
-    match (List.assoc_opt "1-lane" series, List.assoc_opt "8-lane" series) with
-    | Some s1, Some s8 -> (
-        match (point_at 32.0 s1, point_at 32.0 s8) with
-        | Some t1, Some t8 when t1 > 0.0 -> Some (t8 /. t1)
-        | _ -> None)
-    | _ -> None
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"pr\": 4,\n  \"figure\": \"fig8\",\n";
-  Buffer.add_string buf
-    "  \"unit\": \"simulated ops/s\",\n  \"x_label\": \"vms\",\n  \"series\": {\n";
-  List.iteri
-    (fun i (name, points) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: [" name);
-      List.iteri
-        (fun j (x, y) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (Printf.sprintf "[%g, %.1f]" x y))
-        points;
-      Buffer.add_string buf
-        (if i < List.length series - 1 then "],\n" else "]\n"))
-    series;
-  Buffer.add_string buf "  },\n";
-  (match speedup with
-  | Some s ->
-      Buffer.add_string buf
-        (Printf.sprintf "  \"speedup_8lane_vs_1lane_at_32_vms\": %.2f\n" s)
-  | None -> Buffer.add_string buf "  \"speedup_8lane_vs_1lane_at_32_vms\": null\n");
-  Buffer.add_string buf "}\n";
-  Out_channel.with_open_text "BENCH_PR4.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf));
-  say "wrote BENCH_PR4.json@."
+  show rendered;
+  emit ~pr:4 ~figure:"fig8" ~unit:"simulated ops/s" ~x_label:"vms"
+    [
+      ("series", series_json ~digits:1 series);
+      ( "speedup_8lane_vs_1lane_at_32_vms",
+        opt_fixed 2 (ratio_at series ~over:"1-lane" "8-lane" 32.0) );
+    ]
 
 (* --- Bechamel micro-benchmarks ------------------------------------------------- *)
 
@@ -292,10 +311,6 @@ let bench_primitives () =
       (Staged.stage (fun () -> ignore (Sha_ref.Sha256_ref.digest data_4k)));
     Test.make ~name:"prim/hmac-sha1"
       (Staged.stage (fun () -> ignore (Vtpm_crypto.Hmac.sha1_mac ~key:"k" "message")));
-    Test.make ~name:"prim/hmac-sha1-prekeyed"
-      (Staged.stage
-         (let pk = Vtpm_crypto.Hmac.sha1_prekey ~key:"k" in
-          fun () -> ignore (Vtpm_crypto.Hmac.mac_prekeyed pk "message")));
     Test.make ~name:"prim/sha1-4KiB-stream"
       (Staged.stage (fun () ->
            (* Chunked feed: exercises the zero-copy block path. *)
@@ -306,8 +321,6 @@ let bench_primitives () =
            done;
            ignore (Vtpm_crypto.Sha1.finalize ctx)));
     Test.make ~name:"prim/rsa512-sign"
-      (Staged.stage (fun () -> ignore (Vtpm_crypto.Rsa.sign key ~digest)));
-    Test.make ~name:"prim/rsa512-sign-crt"
       (Staged.stage (fun () -> ignore (Vtpm_crypto.Rsa.sign key ~digest)));
     Test.make ~name:"prim/rsa512-sign-nocrt"
       (Staged.stage (fun () -> ignore (Vtpm_crypto.Rsa.sign_no_crt key ~digest)));
@@ -387,21 +400,18 @@ let run_micro () =
     @ bench_primitives ()
   in
   render_micro (measure_tests tests)
-
 (* fig9 also emits BENCH_PR5.json: the lane-scaling series under a large
    guarded policy (the linear reference and the production monitor), the
    fig2 series showing the flattened policy-size curve, and real
-   wall-clock Bechamel numbers for the audit/crypto fast paths. It fails
-   if the production monitor does not beat the linear reference at every
+   wall-clock Bechamel numbers for the audit/crypto fast paths. Its gate
+   requires the production monitor to beat the linear reference at every
    VM count. *)
 let run_fig9 () =
   let series, rendered = Vtpm_sim.Experiments.fig9 () in
-  print_string rendered;
-  print_newline ();
+  show rendered;
   say "fig2 (simulated us)@.";
   let fig2_series, fig2_rendered = Vtpm_sim.Experiments.fig2 () in
-  print_string fig2_rendered;
-  print_newline ();
+  show fig2_rendered;
   say "residue micro-benchmarks (real wall-clock)@.";
   let micro =
     measure_tests
@@ -414,57 +424,29 @@ let run_fig9 () =
       @ bench_primitives ())
   in
   render_micro micro;
-  let speedup =
-    match (List.assoc_opt "linear" series, List.assoc_opt "production" series) with
-    | Some sl, Some sg -> (
-        match (List.assoc_opt 32.0 sl, List.assoc_opt 32.0 sg) with
-        | Some tl, Some tg when tl > 0.0 -> Some (tg /. tl)
-        | _ -> None)
-    | _ -> None
-  in
-  let buf = Buffer.create 2048 in
-  let add_series ?(indent = "    ") buf series =
-    List.iteri
-      (fun i (name, points) ->
-        Buffer.add_string buf (Printf.sprintf "%s%S: [" indent name);
-        List.iteri
-          (fun j (x, y) ->
-            if j > 0 then Buffer.add_string buf ", ";
-            Buffer.add_string buf (Printf.sprintf "[%g, %.2f]" x y))
-          points;
-        Buffer.add_string buf (if i < List.length series - 1 then "],\n" else "]\n"))
-      series
-  in
-  Buffer.add_string buf "{\n  \"pr\": 5,\n  \"figure\": \"fig9\",\n";
-  Buffer.add_string buf
-    "  \"unit\": \"simulated ops/s\",\n  \"x_label\": \"vms\",\n  \"series\": {\n";
-  add_series buf series;
-  Buffer.add_string buf "  },\n";
-  (match speedup with
-  | Some s ->
-      Buffer.add_string buf
-        (Printf.sprintf "  \"speedup_production_vs_linear_at_32_vms\": %.2f,\n" s)
-  | None -> Buffer.add_string buf "  \"speedup_production_vs_linear_at_32_vms\": null,\n");
-  Buffer.add_string buf
-    "  \"fig2_compiled\": {\n    \"unit\": \"simulated us\",\n    \"x_label\": \"rules\",\n\
-    \    \"series\": {\n";
-  add_series ~indent:"      " buf fig2_series;
-  Buffer.add_string buf "    }\n  },\n";
-  Buffer.add_string buf "  \"micro_ns_per_run\": {\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: %.1f" name ns);
-      Buffer.add_string buf (if i < List.length micro - 1 then ",\n" else "\n"))
-    micro;
-  Buffer.add_string buf "  }\n}\n";
-  Out_channel.with_open_text "BENCH_PR5.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf));
-  say "wrote BENCH_PR5.json@.";
-  match (List.assoc_opt "linear" series, List.assoc_opt "production" series) with
-  | Some linear, Some production
-    when List.for_all2 (fun (_, l) (_, p) -> p > l) linear production ->
-      ()
-  | _ -> invalid_arg "fig9: production monitor does not beat the linear reference"
+  emit ~pr:5 ~figure:"fig9" ~unit:"simulated ops/s" ~x_label:"vms"
+    [
+      ("series", series_json ~digits:2 series);
+      ( "speedup_production_vs_linear_at_32_vms",
+        opt_fixed 2 (ratio_at series ~over:"linear" "production" 32.0) );
+      ( "fig2_compiled",
+        Obj
+          [
+            ("unit", Str "simulated us");
+            ("x_label", Str "rules");
+            ("series", series_json ~digits:2 fig2_series);
+          ] );
+      ("micro_ns_per_run", Obj (List.map (fun (name, ns) -> (name, fixed 1 ns)) micro));
+    ];
+  gate ~section:"fig9"
+    [
+      ( "production_beats_linear_at_every_vm_count",
+        match (List.assoc_opt "linear" series, List.assoc_opt "production" series) with
+        | Some linear, Some production ->
+            List.length linear = List.length production
+            && List.for_all2 (fun (_, l) (_, p) -> p > l) linear production
+        | _ -> false );
+    ]
 
 (* table6/fig10: the migration drill. fig10 also emits BENCH_PR6.json —
    the goodput series plus every drill invariant and the two new attack
@@ -473,18 +455,14 @@ let run_fig9 () =
 
 let run_table6 () =
   let drill, rendered = Vtpm_sim.Experiments.table6 () in
-  print_string rendered;
-  print_newline ();
-  print_string (Vtpm_sim.Experiments.render_migration_drill drill);
-  print_newline ()
+  show rendered;
+  show (Vtpm_sim.Experiments.render_migration_drill drill)
 
 let run_fig10 () =
   let series, rendered = Vtpm_sim.Experiments.fig10 () in
-  print_string rendered;
-  print_newline ();
+  show rendered;
   let drill, table_rendered = Vtpm_sim.Experiments.table6 () in
-  print_string table_rendered;
-  print_newline ();
+  show table_rendered;
   (* The drill's hard invariants: a violation is a regression, not a data
      point. *)
   let open Vtpm_sim.Experiments in
@@ -501,9 +479,7 @@ let run_fig10 () =
       ("source_resumed_on_failures", drill.md_failed_attempts >= 2);
     ]
   in
-  List.iter
-    (fun (name, ok) -> say "drill check %-28s %s@." name (if ok then "PASS" else "FAIL"))
-    checks;
+  gate ~section:"fig10" checks;
   (* The two rollback/replay attack rows, both modes. *)
   let attack_rows =
     List.map
@@ -524,50 +500,31 @@ let run_fig10 () =
         (if base_won then "RETRIEVED" else "blocked")
         (if imp_won then "RETRIEVED" else "blocked"))
     attack_rows;
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"pr\": 6,\n  \"figure\": \"fig10\",\n";
-  Buffer.add_string buf
-    "  \"unit\": \"migrant goodput %\",\n  \"x_label\": \"flood x\",\n  \"series\": {\n";
-  List.iteri
-    (fun i (name, points) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: [" name);
-      List.iteri
-        (fun j (x, y) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (Printf.sprintf "[%g, %.1f]" x y))
-        points;
-      Buffer.add_string buf (if i < List.length series - 1 then "],\n" else "]\n"))
-    series;
-  Buffer.add_string buf "  },\n  \"drill\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"flood_x\": %d,\n    \"attempts\": %d,\n    \"failed_attempts\": %d,\n"
-       drill.md_flood_x drill.md_attempts drill.md_failed_attempts);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"drained\": %d,\n    \"lost_in_flight\": %d,\n    \"bypass_windows\": %d,\n"
-       drill.md_drained drill.md_lost_in_flight drill.md_bypass_windows);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"migrant_goodput_pct\": %.1f,\n    \"victim_goodput_pct\": %.1f\n"
-       drill.md_migrant_goodput_pct drill.md_victim_goodput_pct);
-  Buffer.add_string buf "  },\n  \"checks\": {\n";
-  List.iteri
-    (fun i (name, ok) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: %b" name ok);
-      Buffer.add_string buf (if i < List.length checks - 1 then ",\n" else "\n"))
-    checks;
-  Buffer.add_string buf "  },\n  \"attacks\": {\n";
-  List.iteri
-    (fun i (name, base_won, imp_won) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    %S: { \"baseline_retrieved\": %b, \"improved_retrieved\": %b }" name
-           base_won imp_won);
-      Buffer.add_string buf (if i < List.length attack_rows - 1 then ",\n" else "\n"))
-    attack_rows;
-  Buffer.add_string buf "  }\n}\n";
-  Out_channel.with_open_text "BENCH_PR6.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf));
-  say "wrote BENCH_PR6.json@.";
-  if List.exists (fun (_, ok) -> not ok) checks then
-    invalid_arg "migration drill invariant violated (see drill checks above)"
+  emit ~pr:6 ~figure:"fig10" ~unit:"migrant goodput %" ~x_label:"flood x"
+    [
+      ("series", series_json ~digits:1 series);
+      ( "drill",
+        Obj
+          [
+            ("flood_x", Int drill.md_flood_x);
+            ("attempts", Int drill.md_attempts);
+            ("failed_attempts", Int drill.md_failed_attempts);
+            ("drained", Int drill.md_drained);
+            ("lost_in_flight", Int drill.md_lost_in_flight);
+            ("bypass_windows", Int drill.md_bypass_windows);
+            ("migrant_goodput_pct", fixed 1 drill.md_migrant_goodput_pct);
+            ("victim_goodput_pct", fixed 1 drill.md_victim_goodput_pct);
+          ] );
+      ("checks", checks_json checks);
+      ( "attacks",
+        Obj
+          (List.map
+             (fun (name, base_won, imp_won) ->
+               ( name,
+                 Obj [ ("baseline_retrieved", Bool base_won); ("improved_retrieved", Bool imp_won) ]
+               ))
+             attack_rows) );
+    ]
 
 (* table7/fig11: the adversarial interleaving fuzzer. fig11 also runs the
    headline 1000-trace deterministic soak and emits BENCH_PR7.json — the
@@ -577,20 +534,17 @@ let run_fig10 () =
 
 let run_table7 () =
   let s, rendered = Vtpm_sim.Experiments.table7 () in
-  print_string rendered;
-  print_newline ();
-  match s.Vtpm_attacks.Fuzz.sk_failures with
-  | [] -> ()
-  | (i, vs) :: _ ->
-      invalid_arg
-        (Printf.sprintf "table7 soak: trace %d violated the bundle: %s" i
-           (String.concat "; " vs))
+  show rendered;
+  List.iter
+    (fun (i, vs) ->
+      say "table7 soak: trace %d violated the bundle: %s@." i (String.concat "; " vs))
+    s.Vtpm_attacks.Fuzz.sk_failures;
+  gate ~section:"table7" [ ("zero_bundle_violations", s.Vtpm_attacks.Fuzz.sk_failures = []) ]
 
 let run_fig11 () =
   let open Vtpm_attacks in
   let series, rendered, sweep = Vtpm_sim.Experiments.fig11 () in
-  print_string rendered;
-  print_newline ();
+  show rendered;
   (* The headline soak: >= 1000 seeded deterministic traces, the full
      invariant bundle asserted after every one. *)
   let soak_traces = 1000 in
@@ -601,16 +555,14 @@ let run_fig11 () =
     soak.Fuzz.sk_traces soak.Fuzz.sk_ops soak.Fuzz.sk_attacks dt
     (dt /. float_of_int (max 1 soak.Fuzz.sk_traces));
   let sweep_failures = List.concat_map (fun (_, s) -> s.Fuzz.sk_failures) sweep in
-  let total_traces =
-    soak.Fuzz.sk_traces + List.fold_left (fun a (_, s) -> a + s.Fuzz.sk_traces) 0 sweep
-  in
-  let wins_total l = List.fold_left (fun a (_, n) -> a + n) 0 l in
+  let sweep_traces = List.fold_left (fun a (_, s) -> a + s.Fuzz.sk_traces) 0 sweep in
+  let wins_total = List.fold_left (fun a (_, n) -> a + n) 0 soak.Fuzz.sk_wins_by_kind in
   let checks =
     [
       ("soak_traces_at_least_1000", soak.Fuzz.sk_traces >= 1000);
       ("zero_bundle_violations", soak.Fuzz.sk_failures = [] && sweep_failures = []);
       ("zero_bypass_windows", soak.Fuzz.sk_bypasses = 0);
-      ("zero_adversary_wins", wins_total soak.Fuzz.sk_wins_by_kind = 0);
+      ("zero_adversary_wins", wins_total = 0);
       ("every_adversary_exercised", List.length soak.Fuzz.sk_attempts_by_kind >= 7);
       ("tampers_detected_and_audited", soak.Fuzz.sk_tampers > 0);
       ("migrations_attempted", soak.Fuzz.sk_migrations > 0);
@@ -618,59 +570,31 @@ let run_fig11 () =
       ("requests_conserved", soak.Fuzz.sk_served_ok <= soak.Fuzz.sk_submitted);
     ]
   in
-  List.iter
-    (fun (name, ok) -> say "fuzz check %-30s %s@." name (if ok then "PASS" else "FAIL"))
-    checks;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"pr\": 7,\n  \"figure\": \"fig11\",\n";
-  Buffer.add_string buf
-    "  \"unit\": \"percent\",\n  \"x_label\": \"attack-op fraction\",\n  \"series\": {\n";
-  List.iteri
-    (fun i (name, points) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: [" name);
-      List.iteri
-        (fun j (x, y) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (Printf.sprintf "[%g, %.1f]" x y))
-        points;
-      Buffer.add_string buf (if i < List.length series - 1 then "],\n" else "]\n"))
-    series;
-  Buffer.add_string buf "  },\n  \"soak\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"traces\": %d,\n    \"sweep_traces\": %d,\n    \"ops\": %d,\n    \"submitted\": \
-        %d,\n    \"served_ok\": %d,\n"
-       soak.Fuzz.sk_traces (total_traces - soak.Fuzz.sk_traces) soak.Fuzz.sk_ops
-       soak.Fuzz.sk_submitted soak.Fuzz.sk_served_ok);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"attack_ops\": %d,\n    \"bypasses\": %d,\n    \"tampers\": %d,\n    \
-        \"migrations\": %d,\n    \"rotations\": %d,\n    \"violations\": %d,\n"
-       soak.Fuzz.sk_attacks soak.Fuzz.sk_bypasses soak.Fuzz.sk_tampers soak.Fuzz.sk_migrations
-       soak.Fuzz.sk_rotations
-       (List.length soak.Fuzz.sk_failures + List.length sweep_failures));
-  Buffer.add_string buf "    \"attempts_by_kind\": {\n";
-  let kinds = soak.Fuzz.sk_attempts_by_kind in
-  List.iteri
-    (fun i (kind, n) ->
-      Buffer.add_string buf (Printf.sprintf "      %S: %d" kind n);
-      Buffer.add_string buf (if i < List.length kinds - 1 then ",\n" else "\n"))
-    kinds;
-  Buffer.add_string buf "    },\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"wins_total\": %d\n" (wins_total soak.Fuzz.sk_wins_by_kind));
-  Buffer.add_string buf "  },\n  \"checks\": {\n";
-  List.iteri
-    (fun i (name, ok) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: %b" name ok);
-      Buffer.add_string buf (if i < List.length checks - 1 then ",\n" else "\n"))
-    checks;
-  Buffer.add_string buf "  }\n}\n";
-  Out_channel.with_open_text "BENCH_PR7.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf));
-  say "wrote BENCH_PR7.json@.";
-  if List.exists (fun (_, ok) -> not ok) checks then
-    invalid_arg "adversarial soak invariant violated (see fuzz checks above)"
+  gate ~section:"fig11" checks;
+  emit ~pr:7 ~figure:"fig11" ~unit:"percent" ~x_label:"attack-op fraction"
+    [
+      ("series", series_json ~digits:1 series);
+      ( "soak",
+        Obj
+          [
+            ("traces", Int soak.Fuzz.sk_traces);
+            ("sweep_traces", Int sweep_traces);
+            ("ops", Int soak.Fuzz.sk_ops);
+            ("submitted", Int soak.Fuzz.sk_submitted);
+            ("served_ok", Int soak.Fuzz.sk_served_ok);
+            ("attack_ops", Int soak.Fuzz.sk_attacks);
+            ("bypasses", Int soak.Fuzz.sk_bypasses);
+            ("tampers", Int soak.Fuzz.sk_tampers);
+            ("migrations", Int soak.Fuzz.sk_migrations);
+            ("rotations", Int soak.Fuzz.sk_rotations);
+            ( "violations",
+              Int (List.length soak.Fuzz.sk_failures + List.length sweep_failures) );
+            ( "attempts_by_kind",
+              Obj (List.map (fun (kind, n) -> (kind, Int n)) soak.Fuzz.sk_attempts_by_kind) );
+            ("wins_total", Int wins_total);
+          ] );
+      ("checks", checks_json checks);
+    ]
 
 (* table8/fig12: the hardware-TPM fault domain. fig12 also re-runs the
    boundary drill + fault storm and emits BENCH_PR8.json — torn-anchor
@@ -681,18 +605,18 @@ let run_fig11 () =
 let run_table8 () =
   let open Vtpm_sim.Experiments in
   let rows, storm, rendered = table8 () in
-  print_string rendered;
-  print_newline ();
-  let torn = List.fold_left (fun a r -> a + r.t8_torn) storm.as_torn rows in
-  if torn <> 0 then invalid_arg (Printf.sprintf "table8: %d torn anchors survived recovery" torn);
-  if List.exists (fun r -> not r.t8_verify_ok) rows || not storm.as_verify_ok then
-    invalid_arg "table8: anchored audit verification failed after recovery"
+  show rendered;
+  gate ~section:"table8"
+    [
+      ("zero_torn_anchors", List.fold_left (fun a r -> a + r.t8_torn) storm.as_torn rows = 0);
+      ( "anchor_verifies_after_recovery",
+        List.for_all (fun r -> r.t8_verify_ok) rows && storm.as_verify_ok );
+    ]
 
 let run_fig12 () =
   let open Vtpm_sim.Experiments in
   let points, rendered = fig12 () in
-  print_string rendered;
-  print_newline ();
+  show rendered;
   let rows, storm, _ = table8 () in
   let drill_torn = List.fold_left (fun a r -> a + r.t8_torn) 0 rows in
   let checks =
@@ -709,56 +633,60 @@ let run_fig12 () =
       ("inclusion_proofs_verify", List.for_all (fun p -> p.f12_proofs_ok) points);
     ]
   in
-  List.iter
-    (fun (name, ok) -> say "anchor check %-32s %s@." name (if ok then "PASS" else "FAIL"))
-    checks;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"pr\": 8,\n  \"figure\": \"fig12\",\n";
-  Buffer.add_string buf
-    "  \"unit\": \"anchors per simulated second\",\n  \"x_label\": \"backlog size\",\n  \
-     \"series\": [\n";
-  List.iteri
-    (fun i p ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"batch\": %d, \"naive_us\": %.1f, \"merkle_us\": %.1f, \"speedup\": %.1f, \
-            \"proofs_ok\": %b}"
-           p.f12_batch p.f12_naive_us p.f12_merkle_us p.f12_speedup p.f12_proofs_ok);
-      Buffer.add_string buf (if i < List.length points - 1 then ",\n" else "\n"))
-    points;
-  Buffer.add_string buf "  ],\n  \"table8\": {\n    \"boundaries\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "      {\"boundary\": %S, \"crashes\": %d, \"repaired\": %d, \"completed\": %d, \
-            \"torn\": %d, \"verify_ok\": %b}"
-           r.t8_boundary r.t8_crashes r.t8_repaired r.t8_completed r.t8_torn r.t8_verify_ok);
-      Buffer.add_string buf (if i < List.length rows - 1 then ",\n" else "\n"))
-    rows;
-  Buffer.add_string buf "    ],\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    \"storm\": {\"commits\": %d, \"committed\": %d, \"deferred\": %d, \
-        \"hard_errors\": %d, \"breaker_opens\": %d, \"retries\": %d, \"stalls\": %d, \
-        \"power_cycles\": %d, \"repairs\": %d, \"catchup_batches\": %d, \"catchup_entries\": \
-        %d, \"recovery_us\": %.1f, \"torn\": %d, \"verify_ok\": %b}\n"
-       storm.as_commits storm.as_committed storm.as_deferred storm.as_hard_errors
-       storm.as_breaker_opens storm.as_retries storm.as_stalls storm.as_power_cycles
-       storm.as_repairs storm.as_catchup_batches storm.as_catchup_entries storm.as_recovery_us
-       storm.as_torn storm.as_verify_ok);
-  Buffer.add_string buf "  },\n  \"checks\": {\n";
-  List.iteri
-    (fun i (name, ok) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: %b" name ok);
-      Buffer.add_string buf (if i < List.length checks - 1 then ",\n" else "\n"))
-    checks;
-  Buffer.add_string buf "  }\n}\n";
-  Out_channel.with_open_text "BENCH_PR8.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf));
-  say "wrote BENCH_PR8.json@.";
-  if List.exists (fun (_, ok) -> not ok) checks then
-    invalid_arg "hardware-TPM fault-domain invariant violated (see anchor checks above)"
+  gate ~section:"fig12" checks;
+  emit ~pr:8 ~figure:"fig12" ~unit:"anchors per simulated second" ~x_label:"backlog size"
+    [
+      ( "series",
+        Arr
+          (List.map
+             (fun p ->
+               Obj
+                 [
+                   ("batch", Int p.f12_batch);
+                   ("naive_us", fixed 1 p.f12_naive_us);
+                   ("merkle_us", fixed 1 p.f12_merkle_us);
+                   ("speedup", fixed 1 p.f12_speedup);
+                   ("proofs_ok", Bool p.f12_proofs_ok);
+                 ])
+             points) );
+      ( "table8",
+        Obj
+          [
+            ( "boundaries",
+              Arr
+                (List.map
+                   (fun r ->
+                     Obj
+                       [
+                         ("boundary", Str r.t8_boundary);
+                         ("crashes", Int r.t8_crashes);
+                         ("repaired", Int r.t8_repaired);
+                         ("completed", Int r.t8_completed);
+                         ("torn", Int r.t8_torn);
+                         ("verify_ok", Bool r.t8_verify_ok);
+                       ])
+                   rows) );
+            ( "storm",
+              Obj
+                [
+                  ("commits", Int storm.as_commits);
+                  ("committed", Int storm.as_committed);
+                  ("deferred", Int storm.as_deferred);
+                  ("hard_errors", Int storm.as_hard_errors);
+                  ("breaker_opens", Int storm.as_breaker_opens);
+                  ("retries", Int storm.as_retries);
+                  ("stalls", Int storm.as_stalls);
+                  ("power_cycles", Int storm.as_power_cycles);
+                  ("repairs", Int storm.as_repairs);
+                  ("catchup_batches", Int storm.as_catchup_batches);
+                  ("catchup_entries", Int storm.as_catchup_entries);
+                  ("recovery_us", fixed 1 storm.as_recovery_us);
+                  ("torn", Int storm.as_torn);
+                  ("verify_ok", Bool storm.as_verify_ok);
+                ] );
+          ] );
+      ("checks", checks_json checks);
+    ]
 
 (* fig13/table9: lane placement and manager sharding. fig13 also runs the
    cross-group flood drill and emits BENCH_PR9.json — the
@@ -767,42 +695,25 @@ let run_fig12 () =
    rising at 256 VMs, 100% victim-group goodput under a 10x cross-group
    flood) — so CI fails loudly if placement or isolation regresses. *)
 
-let run_table9 () =
-  let _, rendered = Vtpm_sim.Experiments.table9 () in
-  print_string rendered;
-  print_newline ()
-
 let run_fig13 () =
   let open Vtpm_sim.Experiments in
   let series, rendered = fig13 () in
-  print_string rendered;
-  print_newline ();
+  show rendered;
   let rows, t9_rendered = table9 () in
-  print_string t9_rendered;
-  print_newline ();
-  let at x points = List.assoc_opt x points in
-  let ratio name x =
-    match (List.assoc_opt "fixed-hash 8-lane" series, List.assoc_opt name series) with
-    | Some f, Some s -> (
-        match (at x f, at x s) with
-        | Some tf, Some ts when tf > 0.0 -> Some (ts /. tf)
-        | _ -> None)
-    | _ -> None
-  in
-  let ws_64 = ratio "work-stealing" 64.0 in
-  let sh_64 = ratio "sharded" 64.0 in
+  show t9_rendered;
+  let ratio name = ratio_at series ~over:"fixed-hash 8-lane" name 64.0 in
+  let ll_64 = ratio "least-loaded" and sh_64 = ratio "sharded" in
   let sharded_rising =
-    match List.assoc_opt "sharded" series with
-    | Some s -> (
-        match (at 128.0 s, at 256.0 s) with Some a, Some b -> b > a | _ -> false)
-    | None -> false
+    match (point series "sharded" 128.0, point series "sharded" 256.0) with
+    | Some a, Some b -> b > a
+    | _ -> false
   in
   let row name = List.find_opt (fun r -> r.t9_config = name) rows in
   let goodput name = match row name with Some r -> r.t9_victim_goodput_pct | None -> 0.0 in
   let ge3 = function Some r -> r >= 3.0 | None -> false in
   let checks =
     [
-      ("placement_3x_fixed_at_64_vms", ge3 ws_64 || ge3 sh_64);
+      ("placement_3x_fixed_at_64_vms", ge3 ll_64 || ge3 sh_64);
       ("sharded_rising_at_256_vms", sharded_rising);
       ("sharded_victim_goodput_100pct", goodput "sharded" >= 100.0);
       ( "group_quota_caps_flooder",
@@ -811,54 +722,30 @@ let run_fig13 () =
         | None -> false );
     ]
   in
-  List.iter
-    (fun (name, ok) -> say "shard check %-32s %s@." name (if ok then "PASS" else "FAIL"))
-    checks;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"pr\": 9,\n  \"figure\": \"fig13\",\n";
-  Buffer.add_string buf
-    "  \"unit\": \"simulated ops/s\",\n  \"x_label\": \"vms\",\n  \"series\": {\n";
-  List.iteri
-    (fun i (name, points) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: [" name);
-      List.iteri
-        (fun j (x, y) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (Printf.sprintf "[%g, %.1f]" x y))
-        points;
-      Buffer.add_string buf (if i < List.length series - 1 then "],\n" else "]\n"))
-    series;
-  Buffer.add_string buf "  },\n";
-  let add_ratio name = function
-    | Some r -> Buffer.add_string buf (Printf.sprintf "  %S: %.2f,\n" name r)
-    | None -> Buffer.add_string buf (Printf.sprintf "  %S: null,\n" name)
-  in
-  add_ratio "work_stealing_vs_fixed_at_64_vms" ws_64;
-  add_ratio "sharded_vs_fixed_at_64_vms" sh_64;
-  Buffer.add_string buf "  \"table9\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"config\": %S, \"flood_x\": %d, \"victim_sent\": %d, \"victim_good\": %d, \
-            \"victim_goodput_pct\": %.1f, \"victim_p99_us\": %.1f, \"attacker_served\": %d, \
-            \"attacker_rejected\": %d}"
-           r.t9_config r.t9_flood_x r.t9_victim_sent r.t9_victim_good r.t9_victim_goodput_pct
-           r.t9_victim_p99_us r.t9_attacker_served r.t9_attacker_rejected);
-      Buffer.add_string buf (if i < List.length rows - 1 then ",\n" else "\n"))
-    rows;
-  Buffer.add_string buf "  ],\n  \"checks\": {\n";
-  List.iteri
-    (fun i (name, ok) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: %b" name ok);
-      Buffer.add_string buf (if i < List.length checks - 1 then ",\n" else "\n"))
-    checks;
-  Buffer.add_string buf "  }\n}\n";
-  Out_channel.with_open_text "BENCH_PR9.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf));
-  say "wrote BENCH_PR9.json@.";
-  if List.exists (fun (_, ok) -> not ok) checks then
-    invalid_arg "lane placement / shard isolation invariant violated (see shard checks above)"
+  gate ~section:"fig13" checks;
+  emit ~pr:9 ~figure:"fig13" ~unit:"simulated ops/s" ~x_label:"vms"
+    [
+      ("series", series_json ~digits:1 series);
+      ("least_loaded_vs_fixed_at_64_vms", opt_fixed 2 ll_64);
+      ("sharded_vs_fixed_at_64_vms", opt_fixed 2 sh_64);
+      ( "table9",
+        Arr
+          (List.map
+             (fun r ->
+               Obj
+                 [
+                   ("config", Str r.t9_config);
+                   ("flood_x", Int r.t9_flood_x);
+                   ("victim_sent", Int r.t9_victim_sent);
+                   ("victim_good", Int r.t9_victim_good);
+                   ("victim_goodput_pct", fixed 1 r.t9_victim_goodput_pct);
+                   ("victim_p99_us", fixed 1 r.t9_victim_p99_us);
+                   ("attacker_served", Int r.t9_attacker_served);
+                   ("attacker_rejected", Int r.t9_attacker_rejected);
+                 ])
+             rows) );
+      ("checks", checks_json checks);
+    ]
 
 (* --- fig14: crypto-throughput section (PR 10) --------------------------------
    Emits BENCH_PR10.json: real wall-clock micros for the overhauled
@@ -869,8 +756,7 @@ let run_fig13 () =
 
 let run_fig14 () =
   let series, rendered = Vtpm_sim.Experiments.fig14 () in
-  print_string rendered;
-  print_newline ();
+  show rendered;
   say "crypto micro-benchmarks, new vs frozen pre-overhaul (real wall-clock)@.";
   let wanted suffix (name, _) =
     String.length name >= String.length suffix
@@ -913,15 +799,14 @@ let run_fig14 () =
   let rsa_x = ratio micro "prim/rsa512-sign-schoolbook" "prim/rsa512-sign" in
   let modpow_x = ratio micro "prim/modpow-schoolbook" "prim/modpow-montgomery" in
   (* End-to-end effect: quote-path throughput per profile at 64 VMs. *)
-  let at64 name =
-    match List.assoc_opt name series with
-    | Some pts -> List.assoc_opt 64.0 pts
-    | None -> None
+  let beats slow fast =
+    match (point series slow 64.0, point series fast 64.0) with
+    | Some slow, Some fast -> fast > slow
+    | _ -> false
   in
   let fig14_x =
-    match (at64 "measured-schoolbook", at64 "measured-crt") with
-    | Some slow, Some fast when slow > 0.0 -> fast /. slow
-    | _ -> Float.nan
+    Option.value ~default:Float.nan
+      (ratio_at series ~over:"measured-schoolbook" "measured-crt" 64.0)
   in
   let checks =
     [
@@ -937,91 +822,52 @@ let run_fig14 () =
       (* The derived constant must still equal the seed's hand-waved one,
          or every pre-existing figure silently shifts. *)
       ("tpm_quote_us_derivation_exact", Vtpm_util.Cost.tpm_quote_us = 38_000.0);
-      ( "fig14_measured_crt_beats_schoolbook",
-        match (at64 "measured-schoolbook", at64 "measured-crt") with
-        | Some slow, Some fast -> fast > slow
-        | _ -> false );
-      ( "fig14_measured_beats_2010_model",
-        match (at64 "model-2010", at64 "measured-crt") with
-        | Some slow, Some fast -> fast > slow
-        | _ -> false );
+      ("fig14_measured_crt_beats_schoolbook", beats "measured-schoolbook" "measured-crt");
+      ("fig14_measured_beats_2010_model", beats "model-2010" "measured-crt");
     ]
   in
-  List.iter
-    (fun (name, ok) -> say "crypto check %-46s %s@." name (if ok then "PASS" else "FAIL"))
-    checks;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"pr\": 10,\n  \"figure\": \"fig14\",\n";
-  Buffer.add_string buf
-    "  \"unit\": \"simulated ops/s\",\n  \"x_label\": \"vms\",\n  \"series\": {\n";
-  List.iteri
-    (fun i (name, points) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: [" name);
-      List.iteri
-        (fun j (x, y) ->
-          if j > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (Printf.sprintf "[%g, %.1f]" x y))
-        points;
-      Buffer.add_string buf (if i < List.length series - 1 then "],\n" else "]\n"))
-    series;
-  Buffer.add_string buf "  },\n";
-  let add_num name v =
-    if Float.is_nan v then Buffer.add_string buf (Printf.sprintf "  %S: null,\n" name)
-    else Buffer.add_string buf (Printf.sprintf "  %S: %.2f,\n" name v)
-  in
-  add_num "sha1_4kib_speedup_vs_frozen_ref" sha1_x;
-  add_num "sha256_4kib_speedup_vs_frozen_ref" sha256_x;
-  add_num "rsa512_sign_speedup_vs_schoolbook_same_process" rsa_x;
-  add_num "modpow_montgomery_speedup_vs_schoolbook" modpow_x;
-  add_num "fig14_throughput_x_measured_crt_vs_schoolbook_at_64_vms" fig14_x;
-  Buffer.add_string buf "  \"cost_constants_us\": {\n";
-  Buffer.add_string buf
-    (Printf.sprintf "    \"rsa_sign_schoolbook_us\": %.1f,\n"
-       Vtpm_util.Cost.rsa_sign_schoolbook_us);
-  Buffer.add_string buf (Printf.sprintf "    \"rsa_sign_us\": %.1f,\n" Vtpm_util.Cost.rsa_sign_us);
-  Buffer.add_string buf (Printf.sprintf "    \"sha_block_us\": %.2f,\n" Vtpm_util.Cost.sha_block_us);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"quote_hw_scale_2010\": %.1f,\n" Vtpm_util.Cost.quote_hw_scale_2010);
-  Buffer.add_string buf
-    (Printf.sprintf "    \"quote_digest_overhead_us\": %.1f,\n"
-       Vtpm_util.Cost.quote_digest_overhead_us);
-  Buffer.add_string buf (Printf.sprintf "    \"tpm_quote_us\": %.1f\n" Vtpm_util.Cost.tpm_quote_us);
-  Buffer.add_string buf "  },\n  \"micro_ns_per_run\": {\n";
-  List.iteri
-    (fun i (name, ns) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: %.1f" name ns);
-      Buffer.add_string buf (if i < List.length micro - 1 then ",\n" else "\n"))
-    micro;
-  Buffer.add_string buf "  },\n  \"checks\": {\n";
-  List.iteri
-    (fun i (name, ok) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: %b" name ok);
-      Buffer.add_string buf (if i < List.length checks - 1 then ",\n" else "\n"))
-    checks;
-  Buffer.add_string buf "  }\n}\n";
-  Out_channel.with_open_text "BENCH_PR10.json" (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf));
-  say "wrote BENCH_PR10.json@.";
-  if List.exists (fun (_, ok) -> not ok) checks then
-    invalid_arg "crypto hot-path invariant violated (see crypto checks above)"
+  gate ~section:"fig14" checks;
+  let module C = Vtpm_util.Cost in
+  emit ~pr:10 ~figure:"fig14" ~unit:"simulated ops/s" ~x_label:"vms"
+    [
+      ("series", series_json ~digits:1 series);
+      ("sha1_4kib_speedup_vs_frozen_ref", fixed 2 sha1_x);
+      ("sha256_4kib_speedup_vs_frozen_ref", fixed 2 sha256_x);
+      ("rsa512_sign_speedup_vs_schoolbook_same_process", fixed 2 rsa_x);
+      ("modpow_montgomery_speedup_vs_schoolbook", fixed 2 modpow_x);
+      ("fig14_throughput_x_measured_crt_vs_schoolbook_at_64_vms", fixed 2 fig14_x);
+      ( "cost_constants_us",
+        Obj
+          [
+            ("rsa_sign_schoolbook_us", fixed 1 C.rsa_sign_schoolbook_us);
+            ("rsa_sign_us", fixed 1 C.rsa_sign_us);
+            ("sha_block_us", fixed 2 C.sha_block_us);
+            ("quote_hw_scale_2010", fixed 1 C.quote_hw_scale_2010);
+            ("quote_digest_overhead_us", fixed 1 C.quote_digest_overhead_us);
+            ("tpm_quote_us", fixed 1 C.tpm_quote_us);
+          ] );
+      ("micro_ns_per_run", Obj (List.map (fun (name, ns) -> (name, fixed 1 ns)) micro));
+      ("checks", checks_json checks);
+    ]
 
 (* --- Driver ---------------------------------------------------------------------- *)
 
 let sections : (string * (unit -> unit)) list =
+  let open Vtpm_sim.Experiments in
   [
-    ("table1", run_table1);
+    ("table1", plain table1);
     ("table2", run_table2);
-    ("table3", run_table3);
-    ("table4", run_table4);
+    ("table3", plain table3);
+    ("table4", plain table4);
     ("table5", run_table5);
     ("table6", run_table6);
-    ("fig1", run_fig1);
-    ("fig2", run_fig2);
-    ("fig3", run_fig3);
-    ("fig4", run_fig4);
-    ("fig5", run_fig5);
-    ("fig6", run_fig6);
-    ("fig7", run_fig7);
+    ("fig1", plain fig1);
+    ("fig2", plain fig2);
+    ("fig3", plain fig3);
+    ("fig4", plain fig4);
+    ("fig5", plain fig5);
+    ("fig6", plain fig6);
+    ("fig7", plain fig7);
     ("fig8", run_fig8);
     ("fig9", run_fig9);
     ("fig10", run_fig10);
@@ -1029,12 +875,15 @@ let sections : (string * (unit -> unit)) list =
     ("fig11", run_fig11);
     ("table8", run_table8);
     ("fig12", run_fig12);
-    ("table9", run_table9);
+    ("table9", plain table9);
     ("fig13", run_fig13);
     ("fig14", run_fig14);
     ("micro", run_micro);
   ]
 
+(* Every requested section runs, even after a failed check or an
+   exception in an earlier one; the failures are listed at the end and
+   turn into a non-zero exit. *)
 let () =
   let requested =
     match Array.to_list Sys.argv with
@@ -1044,10 +893,16 @@ let () =
   List.iter
     (fun name ->
       match List.assoc_opt name sections with
-      | Some f ->
+      | Some f -> (
           say "=== %s ===@." name;
-          f ()
+          try f () with e -> failed := (name, "raised " ^ Printexc.to_string e) :: !failed)
       | None ->
           say "unknown section %s; available: %s@." name
             (String.concat " " (List.map fst sections)))
-    requested
+    requested;
+  match List.rev !failed with
+  | [] -> ()
+  | failures ->
+      say "@.%d failed check(s):@." (List.length failures);
+      List.iter (fun (section, check) -> say "  %s: %s@." section check) failures;
+      exit 1

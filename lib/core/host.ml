@@ -95,8 +95,8 @@ let assign_guest_group t (g : guest) label =
    its shard lane — each replica runs its own frontend, so one shard's
    transport work does not serialize the others. Everything here is
    opt-in: a host that never calls this is byte-identical to the seed. *)
-let enable_sharding t ?placement ?lanes_per_shard ?group_of () =
-  let registry = Vtpm_mgr.Group.create ?placement ?lanes_per_shard () in
+let enable_sharding t ?lanes_per_shard ?group_of () =
+  let registry = Vtpm_mgr.Group.create ?lanes_per_shard () in
   Vtpm_mgr.Manager.set_shards t.mgr (Some registry);
   let label_of =
     match group_of with

@@ -48,7 +48,6 @@ val monitor_exn : t -> Monitor.t
 
 val enable_sharding :
   t ->
-  ?placement:Vtpm_util.Cost.Lanes.placement ->
   ?lanes_per_shard:int ->
   ?group_of:(guest -> string) ->
   unit ->

@@ -18,21 +18,6 @@ val mac : hash -> key:string -> string -> string
 val sha1_mac : key:string -> string -> string
 val sha256_mac : key:string -> string -> string
 
-(** {1 Precomputed keys}
-
-    Deriving a key once amortizes the inner/outer pad computation (and
-    the long-key pre-hash) across every MAC under that key. *)
-
-type prekey
-
-val derive : hash -> key:string -> prekey
-val sha1_prekey : key:string -> prekey
-val sha256_prekey : key:string -> prekey
-
-val mac_prekeyed : prekey -> string -> string
-(** [mac_prekeyed (derive h ~key) msg] equals [mac h ~key msg]
-    (property-tested). *)
-
 val equal_ct : string -> string -> bool
 (** Constant-shape comparison: never short-circuits, so timing does not
     leak the position of the first mismatching byte. Use for all MAC and

@@ -1896,9 +1896,9 @@ let fig12 ?(batches = [ 16; 64; 256; 1024 ]) ?(seed = 83) () : fig12_point list 
    pile onto cold lanes' neighbours while idle lanes stay idle. Figure 13
    re-runs fig9's production configuration (1024 guarded rules, compiled
    index, same hosts/seeds/op budget) across placement policies and the
-   sharded manager: fixed-hash at the seed's 8 lanes, least-loaded and
-   work-stealing with one lane per VM, and group-per-tenant shards whose
-   private frontends absorb the serial residue. *)
+   sharded manager: fixed-hash at the seed's 8 lanes, least-loaded with
+   one lane per VM, and group-per-tenant shards whose private frontends
+   absorb the serial residue. *)
 
 let fig13 ?(vm_counts = [ 8; 16; 32; 64; 128; 256 ]) ?(rules = 1024) ?(fixed_lanes = 8)
     ?(total_ops = 1920) () : (string * (float * float) list) list * string =
@@ -1920,9 +1920,6 @@ let fig13 ?(vm_counts = [ 8; 16; 32; 64; 128; 256 ]) ?(rules = 1024) ?(fixed_lan
   let least_loaded host n =
     Vtpm_mgr.Manager.set_lanes ~placement:Vtpm_util.Cost.Lanes.Least_loaded host.Host.mgr n
   in
-  let work_stealing host n =
-    Vtpm_mgr.Manager.set_lanes ~placement:Vtpm_util.Cost.Lanes.Work_stealing host.Host.mgr n
-  in
   (* Two lanes per shard: with a single lane the pool's earliest-free
      lane is the lane itself, so every exec drags the shared meter to its
      own finish and the shards serialize through it — an artifact of the
@@ -1935,7 +1932,6 @@ let fig13 ?(vm_counts = [ 8; 16; 32; 64; 128; 256 ]) ?(rules = 1024) ?(fixed_lan
     [
       (Printf.sprintf "fixed-hash %d-lane" fixed_lanes, series_for fixed);
       ("least-loaded", series_for least_loaded);
-      ("work-stealing", series_for work_stealing);
       ("sharded", series_for sharded);
     ]
   in

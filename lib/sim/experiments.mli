@@ -311,12 +311,12 @@ val fig13 :
   (string * (float * float) list) list * string
 (** Lane placement and manager sharding at scale: fig9's production
     configuration (1024-rule guarded policy) re-run with
-    fixed-hash placement at the seed's 8 lanes, least-loaded and
-    work-stealing placement at one lane per VM, and group-per-tenant
-    manager shards whose private frontends absorb the per-request serial
-    residue. The fixed-hash series flatlines; work-stealing or sharding
-    must clear 3x its 64-VM throughput, with the sharded curve still
-    rising at 256 VMs. *)
+    fixed-hash placement at the seed's 8 lanes, least-loaded placement
+    at one lane per VM, and group-per-tenant manager shards whose
+    private frontends absorb the per-request serial residue. The
+    fixed-hash series flatlines; least-loaded or sharding must clear 3x
+    its 64-VM throughput, with the sharded curve still rising at 256
+    VMs. *)
 
 type table9_row = {
   t9_config : string;

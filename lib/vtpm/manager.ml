@@ -110,8 +110,6 @@ let set_lanes ?placement t n =
 
 let lane_count t = Vtpm_util.Cost.Lanes.count t.lanes
 let lane_of t ~vtpm_id = Vtpm_util.Cost.Lanes.lane_for (pool_for_id t vtpm_id) ~key:vtpm_id
-let lane_placement t = Vtpm_util.Cost.Lanes.placement t.lanes
-let lane_steals t = Vtpm_util.Cost.Lanes.steals t.lanes
 
 (* True when re-homing work onto the instance's own lane changes anything:
    its pool can overlap work, or it executes on a shard pool (where even a

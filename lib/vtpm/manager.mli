@@ -90,9 +90,6 @@ val lane_of : t -> vtpm_id:int -> int
 (** Current lane of the instance, within its own pool (shard pool when
     grouped). *)
 
-val lane_placement : t -> Vtpm_util.Cost.Lanes.placement
-val lane_steals : t -> int
-
 val parallel_for : t -> vtpm_id:int -> bool
 (** True when re-homing work onto the instance's own lane changes
     anything: its pool (shard pool when grouped) has more than one lane,

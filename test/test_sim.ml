@@ -272,7 +272,7 @@ let frozen_renders : (string * string * (unit -> string)) list =
       "248676002c5ed08f4b538712ed9893c3e7bc5859108be38a01b14aefeaada3e2",
       fun () -> snd (E.fig12 ()) );
     ( "fig13",
-      "316095c818d890a44a920b2b10a940ef22181f0a1d1e4c7740e82a7eb30c9fbd",
+      "b1aa8a38a7c6514dec8a26b9bedbe9e2e1a246fd1630be5a926bda790e6b0978",
       fun () -> snd (E.fig13 ~vm_counts:[ 8; 16 ] ~total_ops:256 ()) );
     ( "fig14",
       "6f20f992913ffec7aaba28c9230e0a19cbfe5cd3645f10e5235014adf997c456",
