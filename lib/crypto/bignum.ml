@@ -275,9 +275,17 @@ let mod_pow_schoolbook ~modulus base exp =
    long chain of multiplications mod the same n; schoolbook [mod_mul] pays
    a full Knuth-D division per product. REDC replaces the division with two
    half-products and a shift: with R = 2^(30k) for a k-limb modulus,
-   mont_mul computes a*b*R^-1 mod m in one fused interleaved pass (CIOS),
-   so only the entry (to Montgomery form) and exit (final REDC by 1) touch
-   [divmod] at all. *)
+   mont_mul computes a*b*R^-1 mod m in one fused pass (FIOS) and
+   mont_sqr computes a*a*R^-1 mod m from half the cross products, so
+   only the entry (to Montgomery form) and exit (final REDC by 1) touch
+   [divmod] at all.
+
+   The kernels index with [Array.unsafe_get]/[unsafe_set], as sha1.ml
+   does: every array they touch is allocated in this module at a fixed
+   width — k limbs for operands and results, 2k+1 for the scratch buffer
+   (which covers mont_mul's k+1) — and the loop bounds never exceed it.
+   Results are written only after the last read of the operands, so
+   [out] may alias [a] or [b]. *)
 module Montgomery = struct
   type ctx = {
     m : t; (* odd modulus, also the limb array of length k *)
@@ -301,61 +309,125 @@ module Montgomery = struct
     let r2 = rem (shift_left one (2 * k * limb_bits)) m in
     { m; k; m0'; r2 }
 
-  (* CIOS: out <- a*b*R^-1 mod m. [a], [b], [out] are k-limb arrays with
-     values < m; [tmp] is (k+2)-limb scratch. Each inner step accumulates
-     limb + 30x30-bit product + carry, staying under 2^62. The running
-     value is < 2m throughout, so one conditional subtraction at the end
-     lands the result < m. *)
-  let mont_mul c (a : int array) (b : int array) (out : int array) (tmp : int array) =
-    let k = c.k and m = c.m and m0' = c.m0' in
-    Array.fill tmp 0 (k + 2) 0;
-    for i = 0 to k - 1 do
-      let ai = a.(i) in
-      let carry = ref 0 in
-      for j = 0 to k - 1 do
-        let x = tmp.(j) + (ai * b.(j)) + !carry in
-        tmp.(j) <- x land limb_mask;
-        carry := x lsr limb_bits
-      done;
-      let x = tmp.(k) + !carry in
-      tmp.(k) <- x land limb_mask;
-      tmp.(k + 1) <- tmp.(k + 1) + (x lsr limb_bits);
-      let u = (tmp.(0) * m0') land limb_mask in
-      let x0 = tmp.(0) + (u * m.(0)) in
-      let carry = ref (x0 lsr limb_bits) in
-      for j = 1 to k - 1 do
-        let x = tmp.(j) + (u * m.(j)) + !carry in
-        tmp.(j - 1) <- x land limb_mask;
-        carry := x lsr limb_bits
-      done;
-      let x = tmp.(k) + !carry in
-      tmp.(k - 1) <- x land limb_mask;
-      tmp.(k) <- tmp.(k + 1) + (x lsr limb_bits);
-      tmp.(k + 1) <- 0
+  (* out <- the (k+1)-limb value t[off .. off+k] reduced mod m, given that
+     it is below 2m: one conditional subtraction. *)
+  let final_sub c (t : int array) off (out : int array) =
+    let k = c.k and m = c.m in
+    let i = ref (k - 1) in
+    while !i >= 0 && Array.unsafe_get t (off + !i) = Array.unsafe_get m !i do
+      decr i
     done;
-    let ge =
-      tmp.(k) > 0
-      ||
-      let rec cmp i = if i < 0 then true else if tmp.(i) <> m.(i) then tmp.(i) > m.(i) else cmp (i - 1) in
-      cmp (k - 1)
-    in
-    if ge then begin
+    if Array.unsafe_get t (off + k) > 0 || !i < 0 || Array.unsafe_get t (off + !i) > Array.unsafe_get m !i
+    then begin
       let borrow = ref 0 in
       for j = 0 to k - 1 do
-        let d = tmp.(j) - m.(j) - !borrow in
-        if d < 0 then begin
-          out.(j) <- d + limb_base;
-          borrow := 1
-        end
-        else begin
-          out.(j) <- d;
-          borrow := 0
-        end
+        let d = Array.unsafe_get t (off + j) - Array.unsafe_get m j - !borrow in
+        Array.unsafe_set out j (d land limb_mask);
+        borrow := if d < 0 then 1 else 0
       done
     end
-    else Array.blit tmp 0 out 0 k
+    else Array.blit t off out 0 k
 
-  (* Zero-extend a value < m to the fixed k-limb width mont_mul expects. *)
+  (* out <- a*b*R^-1 mod m, operand and reduction products fused in one
+     inner loop (FIOS). [a], [b], [out] are k-limb arrays with values < m;
+     [tmp] holds at least k+1 limbs. An inner step sums a limb, two
+     30x30-bit products and a carry below 2^32: under 2^62, inside a
+     native int. Each outer step leaves the running value below 2m, so
+     one conditional subtraction at the end lands the result below m. *)
+  let mont_mul c (a : int array) (b : int array) (out : int array) (tmp : int array) =
+    let k = c.k and m = c.m and m0' = c.m0' in
+    Array.fill tmp 0 (k + 1) 0;
+    let b0 = Array.unsafe_get b 0 and m0 = Array.unsafe_get m 0 in
+    for i = 0 to k - 1 do
+      let ai = Array.unsafe_get a i in
+      let x0 = Array.unsafe_get tmp 0 + (ai * b0) in
+      (* Only the low 30 bits of the product matter; the wrap is harmless. *)
+      let u = (x0 * m0') land limb_mask in
+      let carry = ref ((x0 + (u * m0)) lsr limb_bits) in
+      for j = 1 to k - 1 do
+        let x = Array.unsafe_get tmp j + (ai * Array.unsafe_get b j) + (u * Array.unsafe_get m j) + !carry in
+        Array.unsafe_set tmp (j - 1) (x land limb_mask);
+        carry := x lsr limb_bits
+      done;
+      let x = Array.unsafe_get tmp k + !carry in
+      Array.unsafe_set tmp (k - 1) (x land limb_mask);
+      Array.unsafe_set tmp k (x lsr limb_bits)
+    done;
+    final_sub c tmp 0 out
+
+  (* out <- a*a*R^-1 mod m. [a] and [out] are k-limb arrays with values
+     < m; [t] holds at least 2k+1 limbs. The square takes the k(k-1)/2
+     cross products a_i*a_j (i < j) once, against the doubled limb 2a_i,
+     plus the k diagonal squares; a separate REDC pass over t then clears
+     the low k limbs two at a time. *)
+  let mont_sqr c (a : int array) (out : int array) (t : int array) =
+    let k = c.k and m = c.m and m0' = c.m0' in
+    Array.fill t 0 ((2 * k) + 1) 0;
+    (* Row i adds a_i^2 at limb 2i and 2a_i*a_j at limb i+j. Limb i+k is
+       still zero, so the row's carry (below 2^32) is stored there
+       outright, and row i+1 normalizes it. a^2 < 2^(60k), so the last
+       row's carry, at limb 2k-1, is below 2^30 and limb 2k stays zero. *)
+    for i = 0 to k - 1 do
+      let ai = Array.unsafe_get a i in
+      let x = Array.unsafe_get t (2 * i) + (ai * ai) in
+      Array.unsafe_set t (2 * i) (x land limb_mask);
+      let carry = ref (x lsr limb_bits) and ai2 = ai lsl 1 in
+      for j = i + 1 to k - 1 do
+        let x = Array.unsafe_get t (i + j) + (ai2 * Array.unsafe_get a j) + !carry in
+        Array.unsafe_set t (i + j) (x land limb_mask);
+        carry := x lsr limb_bits
+      done;
+      Array.unsafe_set t (i + k) !carry
+    done;
+    (* REDC: the pass at limb i picks u0 to clear limb i and u1 to clear
+       limb i+1, then adds u0*m at limb i and u1*m at limb i+1 in one
+       loop. Its carry goes unnormalized into limb i+k+1, which the next
+       pass normalizes; an odd k ends with a one-digit pass. The value
+       stays below a^2 + R*m < 2^(60k+1), inside 2k+1 limbs. *)
+    let m0 = Array.unsafe_get m 0 in
+    let i = ref 0 in
+    while !i + 1 < k do
+      let i0 = !i in
+      let t0 = Array.unsafe_get t i0 in
+      let u0 = (t0 * m0') land limb_mask in
+      let s1 = Array.unsafe_get t (i0 + 1) + (u0 * Array.unsafe_get m 1) + ((t0 + (u0 * m0)) lsr limb_bits) in
+      let u1 = (s1 * m0') land limb_mask in
+      let carry = ref ((s1 + (u1 * m0)) lsr limb_bits) in
+      for j = 2 to k - 1 do
+        let x =
+          Array.unsafe_get t (i0 + j)
+          + (u0 * Array.unsafe_get m j)
+          + (u1 * Array.unsafe_get m (j - 1))
+          + !carry
+        in
+        Array.unsafe_set t (i0 + j) (x land limb_mask);
+        carry := x lsr limb_bits
+      done;
+      let x = Array.unsafe_get t (i0 + k) + (u1 * Array.unsafe_get m (k - 1)) + !carry in
+      Array.unsafe_set t (i0 + k) (x land limb_mask);
+      Array.unsafe_set t (i0 + k + 1) (Array.unsafe_get t (i0 + k + 1) + (x lsr limb_bits));
+      i := i0 + 2
+    done;
+    if !i < k then begin
+      let i0 = !i in
+      let t0 = Array.unsafe_get t i0 in
+      let u = (t0 * m0') land limb_mask in
+      let carry = ref ((t0 + (u * m0)) lsr limb_bits) in
+      for j = 1 to k - 1 do
+        let x = Array.unsafe_get t (i0 + j) + (u * Array.unsafe_get m j) + !carry in
+        Array.unsafe_set t (i0 + j) (x land limb_mask);
+        carry := x lsr limb_bits
+      done;
+      Array.unsafe_set t (i0 + k) (Array.unsafe_get t (i0 + k) + !carry)
+    end;
+    (* Only limb 2k-1 can be left unnormalized. *)
+    let top = Array.unsafe_get t ((2 * k) - 1) in
+    Array.unsafe_set t ((2 * k) - 1) (top land limb_mask);
+    Array.unsafe_set t (2 * k) (top lsr limb_bits);
+    (* t[k..2k] = a^2 * R^-1 mod m, plus possibly one m. *)
+    final_sub c t k out
+
+  (* Zero-extend a value < m to the fixed k-limb width the kernels expect. *)
   let limbs k (a : t) =
     let out = Array.make k 0 in
     Array.blit a 0 out 0 (Array.length a);
@@ -366,113 +438,86 @@ module Montgomery = struct
      squarings, so wider windows only pay off for longer exponents. *)
   let window_bits ebits = if ebits <= 24 then 1 else if ebits <= 96 then 3 else if ebits <= 512 then 4 else 5
 
-  let mod_pow c base exp =
+  (* base^exp in Montgomery form, as a fresh k-limb array, for base < m and
+     exp > 0. [scratch] holds at least 2k+1 limbs. *)
+  let pow_mont c base exp scratch =
     let k = c.k in
     let e_bits = num_bits exp in
-    if e_bits = 0 then rem one c.m
+    let g = Array.make k 0 in
+    mont_mul c (limbs k base) (limbs k c.r2) g scratch;
+    let w = window_bits e_bits in
+    (* tbl.(i) = g^(2i+1) in Montgomery form. *)
+    let tbl = Array.make (1 lsl (w - 1)) g in
+    if w > 1 then begin
+      let g2 = Array.make k 0 in
+      mont_sqr c g g2 scratch;
+      for i = 1 to Array.length tbl - 1 do
+        let gi = Array.make k 0 in
+        mont_mul c tbl.(i - 1) g2 gi scratch;
+        tbl.(i) <- gi
+      done
+    end;
+    let acc = Array.make k 0 in
+    let started = ref false in
+    let i = ref (e_bits - 1) in
+    while !i >= 0 do
+      if not (test_bit exp !i) then begin
+        if !started then mont_sqr c acc acc scratch;
+        decr i
+      end
+      else begin
+        (* Largest window [j..i] of width <= w ending on a set bit:
+           its value is odd, so it indexes the odd-powers table. *)
+        let lo = max 0 (!i - w + 1) in
+        let j = ref lo in
+        while not (test_bit exp !j) do
+          incr j
+        done;
+        let v = ref 0 in
+        for b = !i downto !j do
+          v := (!v lsl 1) lor (if test_bit exp b then 1 else 0)
+        done;
+        if !started then begin
+          for _ = 1 to !i - !j + 1 do
+            mont_sqr c acc acc scratch
+          done;
+          mont_mul c acc tbl.(!v lsr 1) acc scratch
+        end
+        else begin
+          Array.blit tbl.(!v lsr 1) 0 acc 0 k;
+          started := true
+        end;
+        i := !j - 1
+      end
+    done;
+    acc
+
+  let mod_pow c base exp =
+    if is_zero exp then rem one c.m
     else begin
       let base = rem base c.m in
       if is_zero base then zero
       else begin
-        let scratch = Array.make (k + 2) 0 in
-        let tmp = Array.make k 0 in
-        let g = Array.make k 0 in
-        mont_mul c (limbs k base) (limbs k c.r2) g scratch;
-        let w = window_bits e_bits in
-        (* tbl.(i) = g^(2i+1) in Montgomery form. *)
-        let tbl = Array.init (1 lsl (w - 1)) (fun _ -> Array.make k 0) in
-        Array.blit g 0 tbl.(0) 0 k;
-        let g2 = Array.make k 0 in
-        mont_mul c g g g2 scratch;
-        for i = 1 to Array.length tbl - 1 do
-          mont_mul c tbl.(i - 1) g2 tbl.(i) scratch
-        done;
-        let acc = Array.make k 0 in
-        let started = ref false in
-        let square () =
-          mont_mul c acc acc tmp scratch;
-          Array.blit tmp 0 acc 0 k
-        in
-        let mult i =
-          mont_mul c acc tbl.(i) tmp scratch;
-          Array.blit tmp 0 acc 0 k
-        in
-        let i = ref (e_bits - 1) in
-        while !i >= 0 do
-          if not (test_bit exp !i) then begin
-            if !started then square ();
-            decr i
-          end
-          else begin
-            (* Largest window [j..i] of width <= w ending on a set bit:
-               its value is odd, so it indexes the odd-powers table. *)
-            let lo = max 0 (!i - w + 1) in
-            let j = ref lo in
-            while not (test_bit exp !j) do
-              incr j
-            done;
-            let v = ref 0 in
-            for b = !i downto !j do
-              v := (!v lsl 1) lor (if test_bit exp b then 1 else 0)
-            done;
-            if !started then begin
-              for _ = 1 to !i - !j + 1 do
-                square ()
-              done;
-              mult (!v lsr 1)
-            end
-            else begin
-              Array.blit tbl.(!v lsr 1) 0 acc 0 k;
-              started := true
-            end;
-            i := !j - 1
-          end
-        done;
+        let scratch = Array.make ((2 * c.k) + 1) 0 in
+        let acc = pow_mont c base exp scratch in
         (* Exit Montgomery form: multiply by 1 is a bare REDC. *)
-        let onek = Array.make k 0 in
-        onek.(0) <- 1;
-        mont_mul c acc onek tmp scratch;
-        normalize tmp
+        mont_mul c acc (limbs c.k one) acc scratch;
+        normalize acc
       end
     end
 end
 
-(* Montgomery context cache, keyed by physical equality of the modulus.
-   RSA signing exponentiates repeatedly against the same limb arrays (the
-   key's p, q and n), and context setup is dominated by the Knuth-D
-   division computing R^2 mod m — without the cache every CRT signature
-   pays three of those divisions. Physical equality is sound because limb
-   arrays are never mutated after construction (all Bignum operations
-   allocate fresh results); a value-equal but distinct array only costs a
-   redundant context. Round-robin replacement over a handful of slots is
-   plenty: a signing workload touches three moduli per key. *)
-let mont_cache : (t * Montgomery.ctx) option array = Array.make 8 None
-let mont_slot = ref 0
-
-let mont_ctx modulus =
-  let rec find i =
-    if i >= Array.length mont_cache then None
-    else
-      match mont_cache.(i) with
-      | Some (m, c) when m == modulus -> Some c
-      | _ -> find (i + 1)
-  in
-  match find 0 with
-  | Some c -> c
-  | None ->
-      let c = Montgomery.ctx ~modulus in
-      mont_cache.(!mont_slot) <- Some (modulus, c);
-      mont_slot := (!mont_slot + 1) land (Array.length mont_cache - 1);
-      c
-
 (* Modular exponentiation: Montgomery + sliding window for odd moduli
    (every RSA modulus and prime factor), schoolbook square-and-multiply
-   otherwise. Results are bit-identical across the two paths. *)
+   otherwise. Results are bit-identical across the two paths. The context
+   is built per call: its one division (R^2 mod m) is small beside even
+   the 17-bit public-exponent exponentiation, and a per-call context
+   shares no state between callers. *)
 let mod_pow ~modulus base exp =
   if is_zero modulus then raise Division_by_zero;
   if equal modulus one then zero
   else if is_even modulus then mod_pow_schoolbook ~modulus base exp
-  else Montgomery.mod_pow (mont_ctx modulus) base exp
+  else Montgomery.mod_pow (Montgomery.ctx ~modulus) base exp
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
@@ -500,32 +545,55 @@ let mod_inverse ~modulus:m a =
   let a = rem a m in
   if is_zero a then None else go m zero false a one false
 
-(* Big-endian byte-string conversions (the TPM wire format for keys). *)
+(* Big-endian byte-string conversions (the TPM wire format for keys). Both
+   directions stream bits through a native-int accumulator: bytes are
+   packed straight into 30-bit limbs, and limbs are peeled straight back
+   into bytes, in one linear pass. The accumulator never holds more than
+   a limb plus a byte (38 bits). *)
 let of_bytes_be (s : string) : t =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+  let n = String.length s in
+  let out = Array.make (((8 * n) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and bits = ref 0 and j = ref 0 in
+  for i = n - 1 downto 0 do
+    acc := !acc lor (Char.code (String.unsafe_get s i) lsl !bits);
+    bits := !bits + 8;
+    if !bits >= limb_bits then begin
+      out.(!j) <- !acc land limb_mask;
+      acc := !acc lsr limb_bits;
+      bits := !bits - limb_bits;
+      incr j
+    end
+  done;
+  if !bits > 0 then out.(!j) <- !acc;
+  normalize out
 
-let to_bytes_be (a : t) : string =
-  if is_zero a then "\x00"
-  else begin
-    let n = (num_bits a + 7) / 8 in
-    let out = Bytes.create n in
-    let v = ref a in
-    for i = n - 1 downto 0 do
-      let byte = match to_int_opt (rem !v (of_int 256)) with Some b -> b | None -> assert false in
-      Bytes.set out i (Char.chr byte);
-      v := shift_right !v 8
-    done;
-    Bytes.unsafe_to_string out
-  end
+(* [a] into [width] big-endian bytes, left-padded with zeros; the caller
+   checks that [a] fits. *)
+let write_be (a : t) width =
+  let out = Bytes.make width '\x00' in
+  let acc = ref 0 and bits = ref 0 and pos = ref (width - 1) in
+  Array.iter
+    (fun limb ->
+      acc := !acc lor (limb lsl !bits);
+      bits := !bits + limb_bits;
+      while !bits >= 8 && !pos >= 0 do
+        Bytes.set out !pos (Char.unsafe_chr (!acc land 0xff));
+        acc := !acc lsr 8;
+        bits := !bits - 8;
+        decr pos
+      done)
+    a;
+  (* At most one byte is left, holding the top bits of the last limb. *)
+  if !pos >= 0 then Bytes.set out !pos (Char.unsafe_chr !acc);
+  Bytes.unsafe_to_string out
+
+(* Bytes of the minimal encoding; zero takes one byte. *)
+let byte_width (a : t) = if is_zero a then 1 else (num_bits a + 7) / 8
+let to_bytes_be (a : t) : string = write_be a (byte_width a)
 
 (* Fixed-width big-endian encoding, left-padded with zeros. *)
 let to_bytes_be_padded (a : t) ~width =
-  let s = to_bytes_be a in
-  let n = String.length s in
-  if n > width then invalid_arg "Bignum.to_bytes_be_padded: value too wide"
-  else String.make (width - n) '\x00' ^ s
+  if byte_width a > width then invalid_arg "Bignum.to_bytes_be_padded: value too wide" else write_be a width
 
 let to_hex a = Vtpm_util.Hex.encode (to_bytes_be a)
 
@@ -559,51 +627,57 @@ let random_range rng ~lo ~hi =
 let small_primes =
   [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41; 43; 47; 53; 59; 61; 67; 71; 73; 79; 83; 89; 97 ]
 
-(* Miller–Rabin probabilistic primality test. *)
+(* [a mod p] for a small native [p] (p < 2^32), one pass over the limbs. *)
+let rem_int (a : t) p =
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    r := ((!r lsl limb_bits) lor a.(i)) mod p
+  done;
+  !r
+
+(* Miller–Rabin probabilistic primality test. Trial division runs on native
+   ints; each witness's exponentiation and its squarings stay in
+   Montgomery form under one context per candidate, compared against the
+   Montgomery images of 1 and n-1 (R mod n and (n-1)R mod n). The RNG is
+   drawn exactly as by the textbook version: one [random_range] per round,
+   stopping at the first witness of compositeness. *)
 let is_probable_prime ?(rounds = 16) rng (n : t) =
   if compare n two < 0 then false
   else if compare n (of_int 4) < 0 then true (* 2 and 3 *)
   else if is_even n then false
+  else if List.exists (fun p -> (Array.length n > 1 || p < n.(0)) && rem_int n p = 0) small_primes then false
   else begin
-    let small_factor =
-      List.exists
-        (fun p ->
-          let p = of_int p in
-          compare p n < 0 && is_zero (rem n p))
-        small_primes
+    let c = Montgomery.ctx ~modulus:n in
+    let k = Array.length n in
+    let scratch = Array.make ((2 * k) + 1) 0 in
+    let one_m = Array.make k 0 in
+    Montgomery.(mont_mul c (limbs k one) (limbs k c.r2) one_m scratch);
+    let minus_one_m = Montgomery.limbs k (sub n (normalize one_m)) in
+    let n_minus_1 = sub n one in
+    (* n - 1 = d * 2^s with d odd *)
+    let rec split d s = if is_even d then split (shift_right d 1) (s + 1) else (d, s) in
+    let d, s = split n_minus_1 0 in
+    let witness a =
+      let x = Montgomery.pow_mont c a d scratch in
+      if x = one_m || x = minus_one_m then false
+      else begin
+        let composite = ref true and i = ref 1 in
+        while !composite && !i < s do
+          Montgomery.mont_sqr c x x scratch;
+          if x = minus_one_m then composite := false;
+          incr i
+        done;
+        !composite
+      end
     in
-    if small_factor then false
-    else begin
-      let n_minus_1 = sub n one in
-      (* n - 1 = d * 2^s with d odd *)
-      let rec split d s = if is_even d then split (shift_right d 1) (s + 1) else (d, s) in
-      let d, s = split n_minus_1 0 in
-      let witness a =
-        let x = ref (mod_pow ~modulus:n a d) in
-        if equal !x one || equal !x n_minus_1 then false
-        else begin
-          let composite = ref true in
-          (try
-             for _ = 1 to s - 1 do
-               x := mod_mul n !x !x;
-               if equal !x n_minus_1 then begin
-                 composite := false;
-                 raise Exit
-               end
-             done
-           with Exit -> ());
-          !composite
-        end
-      in
-      let rec rounds_left k =
-        if k = 0 then true
-        else begin
-          let a = random_range rng ~lo:two ~hi:n_minus_1 in
-          if witness a then false else rounds_left (k - 1)
-        end
-      in
-      rounds_left rounds
-    end
+    let rec rounds_left k =
+      if k = 0 then true
+      else begin
+        let a = random_range rng ~lo:two ~hi:n_minus_1 in
+        if witness a then false else rounds_left (k - 1)
+      end
+    in
+    rounds_left rounds
   end
 
 (* Random probable prime of exactly [bits] bits. *)

@@ -413,18 +413,50 @@ let test_drbg_lengths () =
    signature bytes so a silent change to either route fails loudly. *)
 
 let gen_odd_modulus =
-  (* Odd modulus > 1, up to 512 bits: the Montgomery-eligible case. *)
+  (* Odd modulus > 1: random widths up to 512 bits (the Montgomery-eligible
+     case), single-limb moduli, and the limb-boundary shapes 2^(30j)-1
+     (every limb all ones) and 2^(30j-1)+1 (top bit alone) for 1..18 limbs,
+     which drive the squaring's top-limb carry and the final conditional
+     subtraction. *)
+  let pow2 b = Bignum.shift_left Bignum.one b in
+  let boundary =
+    List.concat_map
+      (fun j -> [ Bignum.sub (pow2 (30 * j)) Bignum.one; Bignum.add (pow2 ((30 * j) - 1)) Bignum.one ])
+      (List.init 18 (fun i -> i + 1))
+  in
   QCheck.Gen.(
-    map
-      (fun s ->
-        let m = Bignum.of_bytes_be s in
-        let m = if Bignum.is_even m then Bignum.add m Bignum.one else m in
-        if Bignum.compare m Bignum.one <= 0 then Bignum.of_int 3 else m)
-      (string_size (int_range 1 64)))
+    frequency
+      [
+        ( 3,
+          map
+            (fun s ->
+              let m = Bignum.of_bytes_be s in
+              let m = if Bignum.is_even m then Bignum.add m Bignum.one else m in
+              if Bignum.compare m Bignum.one <= 0 then Bignum.of_int 3 else m)
+            (string_size (int_range 1 64)) );
+        (1, map (fun v -> Bignum.of_int ((2 * v) + 3)) (int_range 0 ((1 lsl 29) - 2)));
+        (1, oneofl boundary);
+      ])
 
 let prop_montgomery_matches_schoolbook =
   QCheck.Test.make ~name:"montgomery mod_pow == schoolbook" ~count:120
     (QCheck.make QCheck.Gen.(triple gen_big gen_big gen_odd_modulus))
+    (fun (base, exp, m) ->
+      Bignum.equal
+        (Bignum.mod_pow ~modulus:m base exp)
+        (Bignum.mod_pow_schoolbook ~modulus:m base exp))
+
+let prop_montgomery_edge_bases =
+  (* Bases 0, 1 and m-1: the fixed points and the largest residue, whose
+     squares sit closest to m^2. *)
+  QCheck.Test.make ~name:"montgomery edge bases == schoolbook" ~count:120
+    (QCheck.make
+       QCheck.Gen.(
+         gen_odd_modulus >>= fun m ->
+         map2
+           (fun base exp -> (base, exp, m))
+           (oneofl [ Bignum.zero; Bignum.one; Bignum.sub m Bignum.one ])
+           gen_big))
     (fun (base, exp, m) ->
       Bignum.equal
         (Bignum.mod_pow ~modulus:m base exp)
@@ -484,6 +516,118 @@ let prop_hmac_matches_reference =
     (fun (key, msg) ->
       Hmac.sha1_mac ~key msg = hmac_reference Sha1.digest_concat 64 ~key msg
       && Hmac.sha256_mac ~key msg = hmac_reference Sha256.digest_concat 64 ~key msg)
+
+(* The byte codec and primality test as they were before the linear-time
+   codec and Montgomery-form Miller–Rabin: one shift+add per byte in, one
+   division + shift per byte out, and one [mod_mul] per witness squaring.
+   The rewrites must agree with these exactly, including the RNG draws. *)
+
+let old_of_bytes_be s =
+  let acc = ref Bignum.zero in
+  String.iter (fun c -> acc := Bignum.add (Bignum.shift_left !acc 8) (bn (Char.code c))) s;
+  !acc
+
+let old_to_bytes_be a =
+  if Bignum.is_zero a then "\x00"
+  else begin
+    let n = (Bignum.num_bits a + 7) / 8 in
+    let out = Bytes.create n in
+    let v = ref a in
+    for i = n - 1 downto 0 do
+      Bytes.set out i (Char.chr (bn_int (Bignum.rem !v (bn 256))));
+      v := Bignum.shift_right !v 8
+    done;
+    Bytes.to_string out
+  end
+
+let gen_codec_input =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          int_range 0 4 >>= fun zeros ->
+          map (fun body -> String.make zeros '\x00' ^ body) (string_size (int_range 0 (80 - zeros))) );
+        (1, map (fun n -> String.make n '\xff') (int_range 0 80));
+      ])
+
+let prop_codec_matches_quadratic =
+  QCheck.Test.make ~name:"bignum byte codec == quadratic reference" ~count:400
+    (QCheck.make ~print:Vtpm_util.Hex.encode gen_codec_input)
+    (fun s ->
+      let v = Bignum.of_bytes_be s in
+      let enc = Bignum.to_bytes_be v in
+      let w = String.length enc in
+      let too_narrow =
+        try
+          ignore (Bignum.to_bytes_be_padded v ~width:(w - 1));
+          false
+        with Invalid_argument _ -> true
+      in
+      Bignum.equal v (old_of_bytes_be s)
+      && enc = old_to_bytes_be v
+      && (if Bignum.is_zero v then enc = "\x00" else enc.[0] <> '\x00')
+      && Bignum.to_bytes_be_padded v ~width:w = enc
+      && too_narrow
+      && (String.length s < w
+         || Bignum.to_bytes_be_padded v ~width:(String.length s)
+            = String.make (String.length s - w) '\x00' ^ enc))
+
+let old_is_probable_prime ?(rounds = 16) rng n =
+  let open Bignum in
+  if compare n two < 0 then false
+  else if compare n (of_int 4) < 0 then true
+  else if is_even n then false
+  else if List.exists (fun p -> compare (of_int p) n < 0 && is_zero (rem n (of_int p))) small_primes then false
+  else begin
+    let n_minus_1 = sub n one in
+    let rec split d s = if is_even d then split (shift_right d 1) (s + 1) else (d, s) in
+    let d, s = split n_minus_1 0 in
+    let witness a =
+      let x = ref (mod_pow ~modulus:n a d) in
+      if equal !x one || equal !x n_minus_1 then false
+      else begin
+        let composite = ref true in
+        for _ = 1 to s - 1 do
+          if !composite then begin
+            x := mod_mul n !x !x;
+            if equal !x n_minus_1 then composite := false
+          end
+        done;
+        !composite
+      end
+    in
+    let rec go k = k = 0 || ((not (witness (random_range rng ~lo:two ~hi:n_minus_1))) && go (k - 1)) in
+    go rounds
+  end
+
+let gen_prime_candidate =
+  let known =
+    List.map bn [ 2; 3; 5; 7; 97; 7919; 1000000007; 2147483647; 561; 41041; 825265; 0; 1; 9; 25 ]
+    @ List.map
+        (fun b -> Bignum.sub (Bignum.shift_left Bignum.one b) Bignum.one)
+        [ 61; 89; 107; 127 (* Mersenne primes *); 67; 101 (* composite *) ]
+  in
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map
+            (fun s ->
+              let v = Bignum.of_bytes_be s in
+              if Bignum.is_even v then Bignum.add v Bignum.one else v)
+            (string_size (int_range 1 24)) );
+        (1, oneofl known);
+      ])
+
+let prop_primality_matches_old =
+  QCheck.Test.make ~name:"montgomery miller-rabin == mod_mul miller-rabin" ~count:200
+    (QCheck.make
+       ~print:(fun (n, seed, rounds) -> Printf.sprintf "%s seed=%d rounds=%d" (Bignum.to_hex n) seed rounds)
+       QCheck.Gen.(triple gen_prime_candidate (int_range 0 1_000_000) (int_range 1 16)))
+    (fun (n, seed, rounds) ->
+      let r_new = Vtpm_util.Rng.create ~seed and r_old = Vtpm_util.Rng.create ~seed in
+      Bignum.is_probable_prime ~rounds r_new n = old_is_probable_prime ~rounds r_old n
+      && Vtpm_util.Rng.next_int64 r_new = Vtpm_util.Rng.next_int64 r_old)
 
 let test_rsa_golden_signatures () =
   (* Captured from the pre-overhaul schoolbook signer: the Montgomery/CRT
@@ -594,4 +738,7 @@ let suite =
     Alcotest.test_case "rsa golden signatures" `Quick test_rsa_golden_signatures;
     Alcotest.test_case "rsa key codec versions" `Quick test_rsa_key_codec_versions;
     Alcotest.test_case "montgomery rejects even modulus" `Quick test_montgomery_rejects_even;
+    QCheck_alcotest.to_alcotest prop_montgomery_edge_bases;
+    QCheck_alcotest.to_alcotest prop_codec_matches_quadratic;
+    QCheck_alcotest.to_alcotest prop_primality_matches_old;
   ]
