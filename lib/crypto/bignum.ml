@@ -275,17 +275,15 @@ let mod_pow_schoolbook ~modulus base exp =
    long chain of multiplications mod the same n; schoolbook [mod_mul] pays
    a full Knuth-D division per product. REDC replaces the division with two
    half-products and a shift: with R = 2^(30k) for a k-limb modulus,
-   mont_mul computes a*b*R^-1 mod m in one fused pass (FIOS) and
-   mont_sqr computes a*a*R^-1 mod m from half the cross products, so
-   only the entry (to Montgomery form) and exit (final REDC by 1) touch
-   [divmod] at all.
+   mont_mul computes a*b*R^-1 mod m in one fused pass (FIOS), squarings
+   included, so only the entry (to Montgomery form) and exit (final REDC
+   by 1) touch [divmod] at all.
 
-   The kernels index with [Array.unsafe_get]/[unsafe_set], as sha1.ml
-   does: every array they touch is allocated in this module at a fixed
-   width — k limbs for operands and results, 2k+1 for the scratch buffer
-   (which covers mont_mul's k+1) — and the loop bounds never exceed it.
-   Results are written only after the last read of the operands, so
-   [out] may alias [a] or [b]. *)
+   The kernel indexes with [Array.unsafe_get]/[unsafe_set], as sha1.ml
+   does: every array it touches is allocated in this module at a fixed
+   width — k limbs for operands and results, k+1 for the scratch buffer —
+   and the loop bounds never exceed it. The result is written only after
+   the last read of the operands, so [out] may alias [a] or [b]. *)
 module Montgomery = struct
   type ctx = {
     m : t; (* odd modulus, also the limb array of length k *)
@@ -309,24 +307,23 @@ module Montgomery = struct
     let r2 = rem (shift_left one (2 * k * limb_bits)) m in
     { m; k; m0'; r2 }
 
-  (* out <- the (k+1)-limb value t[off .. off+k] reduced mod m, given that
-     it is below 2m: one conditional subtraction. *)
-  let final_sub c (t : int array) off (out : int array) =
+  (* out <- the (k+1)-limb value t[0 .. k] reduced mod m, given that it is
+     below 2m: one conditional subtraction. *)
+  let final_sub c (t : int array) (out : int array) =
     let k = c.k and m = c.m in
     let i = ref (k - 1) in
-    while !i >= 0 && Array.unsafe_get t (off + !i) = Array.unsafe_get m !i do
+    while !i >= 0 && Array.unsafe_get t !i = Array.unsafe_get m !i do
       decr i
     done;
-    if Array.unsafe_get t (off + k) > 0 || !i < 0 || Array.unsafe_get t (off + !i) > Array.unsafe_get m !i
-    then begin
+    if Array.unsafe_get t k > 0 || !i < 0 || Array.unsafe_get t !i > Array.unsafe_get m !i then begin
       let borrow = ref 0 in
       for j = 0 to k - 1 do
-        let d = Array.unsafe_get t (off + j) - Array.unsafe_get m j - !borrow in
+        let d = Array.unsafe_get t j - Array.unsafe_get m j - !borrow in
         Array.unsafe_set out j (d land limb_mask);
         borrow := if d < 0 then 1 else 0
       done
     end
-    else Array.blit t off out 0 k
+    else Array.blit t 0 out 0 k
 
   (* out <- a*b*R^-1 mod m, operand and reduction products fused in one
      inner loop (FIOS). [a], [b], [out] are k-limb arrays with values < m;
@@ -353,81 +350,9 @@ module Montgomery = struct
       Array.unsafe_set tmp (k - 1) (x land limb_mask);
       Array.unsafe_set tmp k (x lsr limb_bits)
     done;
-    final_sub c tmp 0 out
+    final_sub c tmp out
 
-  (* out <- a*a*R^-1 mod m. [a] and [out] are k-limb arrays with values
-     < m; [t] holds at least 2k+1 limbs. The square takes the k(k-1)/2
-     cross products a_i*a_j (i < j) once, against the doubled limb 2a_i,
-     plus the k diagonal squares; a separate REDC pass over t then clears
-     the low k limbs two at a time. *)
-  let mont_sqr c (a : int array) (out : int array) (t : int array) =
-    let k = c.k and m = c.m and m0' = c.m0' in
-    Array.fill t 0 ((2 * k) + 1) 0;
-    (* Row i adds a_i^2 at limb 2i and 2a_i*a_j at limb i+j. Limb i+k is
-       still zero, so the row's carry (below 2^32) is stored there
-       outright, and row i+1 normalizes it. a^2 < 2^(60k), so the last
-       row's carry, at limb 2k-1, is below 2^30 and limb 2k stays zero. *)
-    for i = 0 to k - 1 do
-      let ai = Array.unsafe_get a i in
-      let x = Array.unsafe_get t (2 * i) + (ai * ai) in
-      Array.unsafe_set t (2 * i) (x land limb_mask);
-      let carry = ref (x lsr limb_bits) and ai2 = ai lsl 1 in
-      for j = i + 1 to k - 1 do
-        let x = Array.unsafe_get t (i + j) + (ai2 * Array.unsafe_get a j) + !carry in
-        Array.unsafe_set t (i + j) (x land limb_mask);
-        carry := x lsr limb_bits
-      done;
-      Array.unsafe_set t (i + k) !carry
-    done;
-    (* REDC: the pass at limb i picks u0 to clear limb i and u1 to clear
-       limb i+1, then adds u0*m at limb i and u1*m at limb i+1 in one
-       loop. Its carry goes unnormalized into limb i+k+1, which the next
-       pass normalizes; an odd k ends with a one-digit pass. The value
-       stays below a^2 + R*m < 2^(60k+1), inside 2k+1 limbs. *)
-    let m0 = Array.unsafe_get m 0 in
-    let i = ref 0 in
-    while !i + 1 < k do
-      let i0 = !i in
-      let t0 = Array.unsafe_get t i0 in
-      let u0 = (t0 * m0') land limb_mask in
-      let s1 = Array.unsafe_get t (i0 + 1) + (u0 * Array.unsafe_get m 1) + ((t0 + (u0 * m0)) lsr limb_bits) in
-      let u1 = (s1 * m0') land limb_mask in
-      let carry = ref ((s1 + (u1 * m0)) lsr limb_bits) in
-      for j = 2 to k - 1 do
-        let x =
-          Array.unsafe_get t (i0 + j)
-          + (u0 * Array.unsafe_get m j)
-          + (u1 * Array.unsafe_get m (j - 1))
-          + !carry
-        in
-        Array.unsafe_set t (i0 + j) (x land limb_mask);
-        carry := x lsr limb_bits
-      done;
-      let x = Array.unsafe_get t (i0 + k) + (u1 * Array.unsafe_get m (k - 1)) + !carry in
-      Array.unsafe_set t (i0 + k) (x land limb_mask);
-      Array.unsafe_set t (i0 + k + 1) (Array.unsafe_get t (i0 + k + 1) + (x lsr limb_bits));
-      i := i0 + 2
-    done;
-    if !i < k then begin
-      let i0 = !i in
-      let t0 = Array.unsafe_get t i0 in
-      let u = (t0 * m0') land limb_mask in
-      let carry = ref ((t0 + (u * m0)) lsr limb_bits) in
-      for j = 1 to k - 1 do
-        let x = Array.unsafe_get t (i0 + j) + (u * Array.unsafe_get m j) + !carry in
-        Array.unsafe_set t (i0 + j) (x land limb_mask);
-        carry := x lsr limb_bits
-      done;
-      Array.unsafe_set t (i0 + k) (Array.unsafe_get t (i0 + k) + !carry)
-    end;
-    (* Only limb 2k-1 can be left unnormalized. *)
-    let top = Array.unsafe_get t ((2 * k) - 1) in
-    Array.unsafe_set t ((2 * k) - 1) (top land limb_mask);
-    Array.unsafe_set t (2 * k) (top lsr limb_bits);
-    (* t[k..2k] = a^2 * R^-1 mod m, plus possibly one m. *)
-    final_sub c t k out
-
-  (* Zero-extend a value < m to the fixed k-limb width the kernels expect. *)
+  (* Zero-extend a value < m to the fixed k-limb width the kernel expects. *)
   let limbs k (a : t) =
     let out = Array.make k 0 in
     Array.blit a 0 out 0 (Array.length a);
@@ -439,7 +364,7 @@ module Montgomery = struct
   let window_bits ebits = if ebits <= 24 then 1 else if ebits <= 96 then 3 else if ebits <= 512 then 4 else 5
 
   (* base^exp in Montgomery form, as a fresh k-limb array, for base < m and
-     exp > 0. [scratch] holds at least 2k+1 limbs. *)
+     exp > 0. [scratch] holds at least k+1 limbs. *)
   let pow_mont c base exp scratch =
     let k = c.k in
     let e_bits = num_bits exp in
@@ -450,7 +375,7 @@ module Montgomery = struct
     let tbl = Array.make (1 lsl (w - 1)) g in
     if w > 1 then begin
       let g2 = Array.make k 0 in
-      mont_sqr c g g2 scratch;
+      mont_mul c g g g2 scratch;
       for i = 1 to Array.length tbl - 1 do
         let gi = Array.make k 0 in
         mont_mul c tbl.(i - 1) g2 gi scratch;
@@ -462,7 +387,7 @@ module Montgomery = struct
     let i = ref (e_bits - 1) in
     while !i >= 0 do
       if not (test_bit exp !i) then begin
-        if !started then mont_sqr c acc acc scratch;
+        if !started then mont_mul c acc acc acc scratch;
         decr i
       end
       else begin
@@ -479,7 +404,7 @@ module Montgomery = struct
         done;
         if !started then begin
           for _ = 1 to !i - !j + 1 do
-            mont_sqr c acc acc scratch
+            mont_mul c acc acc acc scratch
           done;
           mont_mul c acc tbl.(!v lsr 1) acc scratch
         end
@@ -498,7 +423,7 @@ module Montgomery = struct
       let base = rem base c.m in
       if is_zero base then zero
       else begin
-        let scratch = Array.make ((2 * c.k) + 1) 0 in
+        let scratch = Array.make (c.k + 1) 0 in
         let acc = pow_mont c base exp scratch in
         (* Exit Montgomery form: multiply by 1 is a bare REDC. *)
         mont_mul c acc (limbs c.k one) acc scratch;
@@ -649,7 +574,7 @@ let is_probable_prime ?(rounds = 16) rng (n : t) =
   else begin
     let c = Montgomery.ctx ~modulus:n in
     let k = Array.length n in
-    let scratch = Array.make ((2 * k) + 1) 0 in
+    let scratch = Array.make (k + 1) 0 in
     let one_m = Array.make k 0 in
     Montgomery.(mont_mul c (limbs k one) (limbs k c.r2) one_m scratch);
     let minus_one_m = Montgomery.limbs k (sub n (normalize one_m)) in
@@ -663,7 +588,7 @@ let is_probable_prime ?(rounds = 16) rng (n : t) =
       else begin
         let composite = ref true and i = ref 1 in
         while !composite && !i < s do
-          Montgomery.mont_sqr c x x scratch;
+          Montgomery.mont_mul c x x x scratch;
           if x = minus_one_m then composite := false;
           incr i
         done;

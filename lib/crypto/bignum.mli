@@ -70,10 +70,10 @@ val mod_pow_schoolbook : modulus:t -> t -> t -> t
     product). Exported for the differential property tests and the
     before/after micro-benchmarks. *)
 
-(** Montgomery arithmetic for odd moduli: build a {!Montgomery.ctx} once
-    per modulus and amortize the REDC setup across an exponentiation
-    chain. [mod_pow] above wraps this; the RSA CRT path builds one ctx per
-    prime factor. *)
+(** Montgomery arithmetic for odd moduli. A {!Montgomery.ctx} holds one
+    modulus's REDC constants and serves one exponentiation chain: [mod_pow]
+    above builds a fresh ctx on every call, and no ctx is shared across
+    calls. *)
 module Montgomery : sig
   type ctx
 

@@ -416,7 +416,7 @@ let gen_odd_modulus =
   (* Odd modulus > 1: random widths up to 512 bits (the Montgomery-eligible
      case), single-limb moduli, and the limb-boundary shapes 2^(30j)-1
      (every limb all ones) and 2^(30j-1)+1 (top bit alone) for 1..18 limbs,
-     which drive the squaring's top-limb carry and the final conditional
+     which drive mont_mul's top-limb carry and the final conditional
      subtraction. *)
   let pow2 b = Bignum.shift_left Bignum.one b in
   let boundary =
