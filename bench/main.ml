@@ -708,8 +708,8 @@ let run_fig13 () =
     | Some a, Some b -> b > a
     | _ -> false
   in
-  let row name = List.find_opt (fun r -> r.t9_config = name) rows in
-  let goodput name = match row name with Some r -> r.t9_victim_goodput_pct | None -> 0.0 in
+  let row name = List.find_opt (fun r -> r.config = name) rows in
+  let goodput name = match row name with Some r -> r.victim_goodput_pct | None -> 0.0 in
   let ge3 = function Some r -> r >= 3.0 | None -> false in
   let checks =
     [
@@ -718,7 +718,7 @@ let run_fig13 () =
       ("sharded_victim_goodput_100pct", goodput "sharded" >= 100.0);
       ( "group_quota_caps_flooder",
         match row "sharded+group-quota" with
-        | Some r -> r.t9_attacker_rejected > 0 && r.t9_victim_goodput_pct >= 100.0
+        | Some r -> r.attacker_rejected > 0 && r.victim_goodput_pct >= 100.0
         | None -> false );
     ]
   in
@@ -734,14 +734,14 @@ let run_fig13 () =
              (fun r ->
                Obj
                  [
-                   ("config", Str r.t9_config);
-                   ("flood_x", Int r.t9_flood_x);
-                   ("victim_sent", Int r.t9_victim_sent);
-                   ("victim_good", Int r.t9_victim_good);
-                   ("victim_goodput_pct", fixed 1 r.t9_victim_goodput_pct);
-                   ("victim_p99_us", fixed 1 r.t9_victim_p99_us);
-                   ("attacker_served", Int r.t9_attacker_served);
-                   ("attacker_rejected", Int r.t9_attacker_rejected);
+                   ("config", Str r.config);
+                   ("flood_x", Int r.flood_x);
+                   ("victim_sent", Int r.victim_sent);
+                   ("victim_good", Int r.victim_good);
+                   ("victim_goodput_pct", fixed 1 r.victim_goodput_pct);
+                   ("victim_p99_us", fixed 1 r.victim_p99_us);
+                   ("attacker_served", Int r.attacker_served);
+                   ("attacker_rejected", Int r.attacker_rejected);
                  ])
              rows) );
       ("checks", checks_json checks);

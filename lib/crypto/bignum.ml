@@ -605,11 +605,17 @@ let is_probable_prime ?(rounds = 16) rng (n : t) =
     rounds_left rounds
   end
 
-(* Random probable prime of exactly [bits] bits. *)
+(* Random probable prime of exactly [bits] bits. An odd [bits]-bit
+   candidate is prime with probability about 2 / (bits ln 2), so a correct
+   test misses [64 * bits] candidates in a row with probability about
+   e^-184: running out means the primality test or the codec is broken,
+   and the search fails instead of spinning. *)
 let random_prime rng ~bits =
-  let rec search () =
+  if bits < 2 then invalid_arg "Bignum.random_prime: need at least 2 bits";
+  let rec search left =
+    if left = 0 then failwith "Bignum.random_prime: no prime among the candidates";
     let cand = random_bits rng ~bits in
     let cand = if is_even cand then add cand one else cand in
-    if is_probable_prime rng cand then cand else search ()
+    if is_probable_prime rng cand then cand else search (left - 1)
   in
-  search ()
+  search (64 * bits)

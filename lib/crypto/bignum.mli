@@ -116,4 +116,7 @@ val is_probable_prime : ?rounds:int -> Vtpm_util.Rng.t -> t -> bool
     defaults to 16. *)
 
 val random_prime : Vtpm_util.Rng.t -> bits:int -> t
-(** Random probable prime of exactly [bits] bits. *)
+(** Random probable prime of exactly [bits] bits. Raises
+    [Invalid_argument] when [bits < 2] (no 1-bit prime exists) and
+    [Failure] after [64 * bits] composite candidates, which a correct
+    primality test reaches with probability about e^-184. *)

@@ -20,19 +20,23 @@ type table1_row = {
   overhead_pct : float;
 }
 
+(* Mean simulated latency of [reps] back-to-back [op]s from the one
+   tenant of a fresh one-VM host, after one [configure] step. *)
+let mean_op_us ~mode ~seed ~reps op configure =
+  let host, tenants = Workload.make_host_with_tenants ~mode ~n:1 ~seed () in
+  let tenant = List.hd tenants in
+  configure host;
+  let cost = Host.cost host in
+  let m = Metrics.create () in
+  for _ = 1 to reps do
+    let t0 = Vtpm_util.Cost.now cost in
+    (match Tenant.run_op tenant op with Ok () -> () | Error e -> invalid_arg e);
+    Metrics.add m (Vtpm_util.Cost.now cost -. t0)
+  done;
+  (Metrics.summarize m).Metrics.mean
+
 let table1 ?(reps = 300) () : table1_row list * string =
-  let mean_for mode op =
-    let host, tenants = Workload.make_host_with_tenants ~mode ~n:1 ~seed:21 () in
-    let tenant = List.hd tenants in
-    let cost = Host.cost host in
-    let m = Metrics.create () in
-    for _ = 1 to reps do
-      let t0 = Vtpm_util.Cost.now cost in
-      (match Tenant.run_op tenant op with Ok () -> () | Error e -> invalid_arg e);
-      Metrics.add m (Vtpm_util.Cost.now cost -. t0)
-    done;
-    (Metrics.summarize m).Metrics.mean
-  in
+  let mean_for mode op = mean_op_us ~mode ~seed:21 ~reps op ignore in
   let rows =
     List.map
       (fun op ->
@@ -141,24 +145,35 @@ let table3 ?(state_kib = 16) () : table3_row list * string =
   in
   (rows, rendered)
 
+(* --- Throughput vs number of VMs (Figures 1, 8, 9, 13 and 14) ------------------
+
+   One point per VM count [n]: a fresh host with [n] tenants (host seed
+   [seed + n]), one [configure host n] step, then a constant total of
+   [total_ops] operations of [mix] split evenly across the tenants. With
+   a shared workload seed every configuration draws the identical op
+   sequence, so a series isolates per-VM effects from mix-sampling
+   noise. *)
+
+let vm_sweep ~mode ~seed ~mix ~vm_counts ~total_ops configure : (float * float) list =
+  List.map
+    (fun n ->
+      let host, tenants = Workload.make_host_with_tenants ~mode ~n ~seed:(seed + n) () in
+      configure host n;
+      let ops_per_tenant = max 1 (total_ops / n) in
+      let r = Workload.run host ~tenants ~mix ~ops_per_tenant () in
+      (float_of_int n, r.Workload.throughput_ops_s))
+    vm_counts
+
 (* --- Figure 1: throughput vs number of VMs -------------------------------------- *)
 
 let fig1 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(total_ops = 1920) () :
     (string * (float * float) list) list * string =
-  (* Constant total operation count across VM counts: with a shared
-     workload seed every configuration draws the identical op sequence, so
-     the series isolates per-VM effects from mix-sampling noise. *)
-  let series_for mode =
-    List.map
-      (fun n ->
-        let host, tenants = Workload.make_host_with_tenants ~mode ~n ~seed:(50 + n) () in
-        let ops_per_tenant = max 1 (total_ops / n) in
-        let r = Workload.run host ~tenants ~mix:Workload.mixed ~ops_per_tenant () in
-        (float_of_int n, r.Workload.throughput_ops_s))
-      vm_counts
-  in
   let series =
-    List.map (fun mode -> (Host.mode_name mode, series_for mode)) both_modes
+    List.map
+      (fun mode ->
+        ( Host.mode_name mode,
+          vm_sweep ~mode ~seed:50 ~mix:Workload.mixed ~vm_counts ~total_ops (fun _ _ -> ()) ))
+      both_modes
   in
   let rendered =
     Table.render_series
@@ -177,21 +192,12 @@ let fig8 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(lane_counts = [ 1; 2; 4; 8 ])
      directly against the flat bottleneck they break. The serial residue
      per request — ring, XenStore, monitor decision, audit — is what the
      higher lane counts saturate against. *)
-  let series_for lanes =
-    List.map
-      (fun n ->
-        let host, tenants =
-          Workload.make_host_with_tenants ~mode:Host.Improved_mode ~n ~seed:(50 + n) ()
-        in
-        Vtpm_mgr.Manager.set_lanes host.Host.mgr lanes;
-        let ops_per_tenant = max 1 (total_ops / n) in
-        let r = Workload.run host ~tenants ~mix:Workload.mixed ~ops_per_tenant () in
-        (float_of_int n, r.Workload.throughput_ops_s))
-      vm_counts
-  in
   let series =
     List.map
-      (fun lanes -> (Printf.sprintf "%d-lane" lanes, series_for lanes))
+      (fun lanes ->
+        ( Printf.sprintf "%d-lane" lanes,
+          vm_sweep ~mode:Host.Improved_mode ~seed:50 ~mix:Workload.mixed ~vm_counts ~total_ops
+            (fun host _ -> Vtpm_mgr.Manager.set_lanes host.Host.mgr lanes) ))
       lane_counts
   in
   let rendered =
@@ -260,19 +266,11 @@ let linear_reference (host : Host.t) ~(account : float -> unit) =
 let fig9 ?(vm_counts = [ 1; 2; 4; 8; 16; 32 ]) ?(rules = 1024) ?(lanes = 8) ?(total_ops = 1920)
     () : (string * (float * float) list) list * string =
   let series_for ~linear =
-    List.map
-      (fun n ->
-        let host, tenants =
-          Workload.make_host_with_tenants ~mode:Host.Improved_mode ~n ~seed:(50 + n) ()
-        in
+    vm_sweep ~mode:Host.Improved_mode ~seed:50 ~mix:Workload.mixed ~vm_counts ~total_ops
+      (fun host _ ->
         Vtpm_mgr.Manager.set_lanes host.Host.mgr lanes;
-        let monitor = Host.monitor_exn host in
-        Monitor.set_policy monitor (Policy.synthetic_guarded ~n:rules);
-        if linear then linear_reference host ~account:(Vtpm_util.Cost.charge (Host.cost host));
-        let ops_per_tenant = max 1 (total_ops / n) in
-        let r = Workload.run host ~tenants ~mix:Workload.mixed ~ops_per_tenant () in
-        (float_of_int n, r.Workload.throughput_ops_s))
-      vm_counts
+        Monitor.set_policy (Host.monitor_exn host) (Policy.synthetic_guarded ~n:rules);
+        if linear then linear_reference host ~account:(Vtpm_util.Cost.charge (Host.cost host)))
   in
   let series =
     [ ("linear", series_for ~linear:true); ("production", series_for ~linear:false) ]
@@ -428,37 +426,14 @@ let fig4 ?(state_kibs = [ 4; 16; 64; 256 ]) () :
    Isolates the contribution of the decision cache and the audit log to
    the Table 1 overhead. *)
 let fig5 ?(reps = 400) () : (string * float) list * string =
+  let mean_for mode configure = mean_op_us ~mode ~seed:88 ~reps Tenant.Op_pcr_read configure in
   let variant ~cache ~audit =
-    let host, tenants = Workload.make_host_with_tenants ~mode:Host.Improved_mode ~n:1 ~seed:88 () in
-    let tenant = List.hd tenants in
-    let monitor = Host.monitor_exn host in
-    Monitor.set_cache_enabled monitor cache;
-    Monitor.set_audit_enabled monitor audit;
-    let cost = Host.cost host in
-    let m = Metrics.create () in
-    for _ = 1 to reps do
-      let t0 = Vtpm_util.Cost.now cost in
-      (match Tenant.run_op tenant Tenant.Op_pcr_read with
-      | Ok () -> ()
-      | Error e -> invalid_arg e);
-      Metrics.add m (Vtpm_util.Cost.now cost -. t0)
-    done;
-    (Metrics.summarize m).Metrics.mean
+    mean_for Host.Improved_mode (fun host ->
+        let monitor = Host.monitor_exn host in
+        Monitor.set_cache_enabled monitor cache;
+        Monitor.set_audit_enabled monitor audit)
   in
-  let baseline_mean =
-    let host, tenants = Workload.make_host_with_tenants ~mode:Host.Baseline_mode ~n:1 ~seed:88 () in
-    let tenant = List.hd tenants in
-    let cost = Host.cost host in
-    let m = Metrics.create () in
-    for _ = 1 to reps do
-      let t0 = Vtpm_util.Cost.now cost in
-      (match Tenant.run_op tenant Tenant.Op_pcr_read with
-      | Ok () -> ()
-      | Error e -> invalid_arg e);
-      Metrics.add m (Vtpm_util.Cost.now cost -. t0)
-    done;
-    (Metrics.summarize m).Metrics.mean
-  in
+  let baseline_mean = mean_for Host.Baseline_mode ignore in
   let rows =
     [
       ("no monitor (baseline)", baseline_mean);
@@ -687,12 +662,14 @@ let table4 ?(fault_rates = [ 0.0; 0.01; 0.05; 0.10 ]) ?(requests = 1000) () :
 
 (* --- Overload evaluation: flood containment and wedge recovery ------------ *)
 
-type flood_config = Naive | Quota_only | Full_stack
+type flood_config = Naive | Quota_only | Full_stack | Sharded | Sharded_group_quota
 
 let flood_config_name = function
   | Naive -> "naive"
   | Quota_only -> "quota-only"
   | Full_stack -> "full-stack"
+  | Sharded -> "sharded"
+  | Sharded_group_quota -> "sharded+group-quota"
 
 type table5_row = {
   config : string;
@@ -706,16 +683,117 @@ type table5_row = {
   flood_shed : int; (* queued entries dropped past their deadline *)
 }
 
-(* One discrete-event flood run. A full improved-mode host carries
-   [victims] well-behaved guests issuing a steady mixed workload (every
-   fourth op a PCR extend, the rest PCR reads, one op per [period]) and
-   one attacker flooding extends at [flood_x] times a victim's rate. The
-   single simulated clock is the backend's serialization point: requests
-   are admitted into the driver queues when their arrival time passes and
-   the backend pumps them in global arrival order, so a backlog shows up
-   as queueing delay exactly like a saturated manager domain.
+(* --- The flood harness --------------------------------------------------------
 
-   The three configurations share workload, seed and policy:
+   Every flood experiment (Table 5, Figure 7, Table 9, and the Table 6 /
+   Figure 10 migration drill) runs one discrete-event loop over one
+   arrival schedule. An arrival is [(at, guest, wire, k)]: the k-th
+   request of [guest]'s stream, due at simulated time [at]. Callers tell
+   victims, flooder and migrant apart by guest. *)
+
+type arrival = float * Host.guest * string * int
+
+let extend_wire i =
+  Vtpm_tpm.Wire.encode_request
+    (Vtpm_tpm.Cmd.Extend { pcr = 10; digest = Vtpm_crypto.Sha1.digest (string_of_int i) })
+
+(* The victims' steady mix: every fourth op a PCR extend (digest seeded by
+   [base + k]), the rest PCR reads. *)
+let mixed_wire ~base =
+  let read_wire = Vtpm_tpm.Wire.encode_request (Vtpm_tpm.Cmd.Pcr_read { pcr = 10 }) in
+  fun k -> if k mod 4 = 0 then extend_wire (base + k) else read_wire
+
+(* [count] requests from [g], the k-th due at [t0 + phase + period * k]. *)
+let stream ~t0 ~phase ~period ~count (g : Host.guest) wire : arrival list =
+  List.init count (fun k -> (t0 +. phase +. (period *. float_of_int k), g, wire k, k))
+
+(* The flood population's streams, [ops] requests per victim: victim [i]
+   at phase slot [i + 1] of [slots] across one [period]; the flooder
+   floods extends from [t0 + 50] at [flood_x] times a victim's rate. *)
+let flood_streams ~t0 ~period ~ops ~slots ~flood_x victims attacker =
+  let victim i g =
+    stream ~t0
+      ~phase:(period *. float_of_int (i + 1) /. float_of_int slots)
+      ~period ~count:ops g
+      (mixed_wire ~base:(i * ops))
+  in
+  stream ~t0 ~phase:50.0 ~period:(period /. float_of_int flood_x) ~count:(ops * flood_x) attacker
+    (fun k -> extend_wire (100_000 + k))
+  :: List.mapi victim victims
+
+(* All streams in global arrival order, ties broken by domid. *)
+let schedule streams : arrival array =
+  List.concat streams
+  |> List.stable_sort (fun ((a : float), (g1 : Host.guest), _, _) (b, (g2 : Host.guest), _, _) ->
+         match Float.compare a b with 0 -> Stdlib.compare g1.Host.domid g2.Host.domid | c -> c)
+  |> Array.of_list
+
+(* [victims] well-behaved guests, then the flooder. *)
+let flood_guests host ~victims =
+  let victim_guests =
+    List.init victims (fun i ->
+        Host.create_guest_exn host
+          ~name:(Printf.sprintf "victim%d" i)
+          ~label:(Printf.sprintf "tenant_%02d" i) ())
+  in
+  (victim_guests, Host.create_guest_exn host ~name:"flooder" ~label:"tenant_99" ())
+
+(* A serviced request's latency, to its lane-completion time (the meter
+   time in the single-lane configuration), and whether it was routed OK. *)
+let service_result (s : Vtpm_mgr.Driver.serviced) =
+  ( s.Vtpm_mgr.Driver.s_done_us -. s.Vtpm_mgr.Driver.s_arrival_us,
+    match s.Vtpm_mgr.Driver.s_outcome with
+    | Ok o -> o.Vtpm_mgr.Driver.status = Vtpm_mgr.Proto.Ok_routed
+    | Error _ -> false )
+
+(* One service round: pump one batch and hand each serviced request to
+   [served]. False when nothing was queued. *)
+let pump_round backend ~served =
+  match Vtpm_mgr.Driver.pump_batch backend with
+  | `Idle -> false
+  | `Served s ->
+      List.iter served s;
+      true
+
+(* The discrete-event loop. The single simulated clock is the backend's
+   serialization point: with nothing queued the clock jumps to the next
+   arrival; each round hands [admit] the arrivals already due, then the
+   backend pumps one batch, so a backlog shows up as queueing delay
+   exactly like a saturated manager domain. [admit] reads the round's
+   arrivals as a sequence checked against the live clock, and must read
+   it to the end: an admission that charges the meter (an audited
+   rejection) can make the next arrival due in the same round. Runs
+   until every arrival is admitted and the queues are empty. *)
+let run_arrivals ~cost ~backend (arrivals : arrival array) ~admit ~served =
+  let n = Array.length arrivals in
+  let i = ref 0 in
+  let at_of j =
+    let at, _, _, _ = arrivals.(j) in
+    at
+  in
+  let rec due () =
+    if !i < n && at_of !i <= Vtpm_util.Cost.now cost then begin
+      let a = arrivals.(!i) in
+      incr i;
+      Seq.Cons (a, due)
+    end
+    else Seq.Nil
+  in
+  while !i < n || Vtpm_mgr.Driver.queued_total backend > 0 do
+    if Vtpm_mgr.Driver.queued_total backend = 0 then Vtpm_util.Cost.advance_to cost (at_of !i);
+    admit due;
+    ignore (pump_round backend ~served)
+  done
+
+(* Table 9's per-group token bucket on the noisy group. *)
+let group_quota_rate = 400.0
+
+(* One flood run. A full improved-mode host carries [victims]
+   well-behaved guests issuing a steady mixed workload (one op per
+   [period]) and one attacker flooding extends at [flood_x] times a
+   victim's rate.
+
+   The configurations share workload, seed and policy:
    - Naive: unbounded FIFO queues, no rate limiting — every attacker
      command eventually executes, and victims queue behind all of them.
    - Quota-only: the token bucket denies most attacker commands, but only
@@ -723,7 +801,12 @@ type table5_row = {
      bucket's burst executes in full, with no deadline awareness.
    - Full stack: bounded per-subject queues reject the flood at admission
      for free, stale entries are shed deadline-aware, quota catches what
-     leaks through, and the supervisor guards the execution path. *)
+     leaks through, and the supervisor guards the execution path.
+   - Sharded: no quota and no admission control, but the flooder's vTPM
+     sits in its own "noisy" group shard, so the flood burns only that
+     shard's lanes and frontend and the "quiet" victims never see it.
+   - Sharded + group quota: additionally a per-group token bucket caps
+     how much of its own shard the flooder may burn. *)
 let flood_run ~config ~flood_x ?(victims = 3) ?(victim_period_us = 3_000.0)
     ?(victim_ops = 200) ?(deadline_us = 10_000.0) ?(lanes = 1) ?(batch = 1) ~seed () :
     table5_row =
@@ -735,13 +818,7 @@ let flood_run ~config ~flood_x ?(victims = 3) ?(victim_period_us = 3_000.0)
   Driver.set_batch host.Host.backend batch;
   (* Long floods must not grow the audit log without bound. *)
   Monitor.set_audit_cap m (Some 4096);
-  let victim_guests =
-    List.init victims (fun i ->
-        Host.create_guest_exn host
-          ~name:(Printf.sprintf "victim%d" i)
-          ~label:(Printf.sprintf "tenant_%02d" i) ())
-  in
-  let attacker = Host.create_guest_exn host ~name:"flooder" ~label:"tenant_99" () in
+  let victim_guests, attacker = flood_guests host ~victims in
   (* Per-subject quota sized to the victims' rate (one op per [period] =
      500/s at the default) with a little headroom — tighter would throttle
      the victims themselves. The attacker exploits exactly that headroom:
@@ -763,90 +840,49 @@ let flood_run ~config ~flood_x ?(victims = 3) ?(victim_period_us = 3_000.0)
           ~mgr:host.Host.mgr ~ckpt ~faults:host.Host.xen.Vtpm_xen.Hypervisor.faults ()
       in
       (match Checkpoint.checkpoint_all ckpt with Ok () -> () | Error e -> invalid_arg e);
-      Monitor.set_supervisor m sup);
-  let extend_wire i =
-    Vtpm_tpm.Wire.encode_request
-      (Vtpm_tpm.Cmd.Extend { pcr = 10; digest = Vtpm_crypto.Sha1.digest (string_of_int i) })
-  in
-  let read_wire = Vtpm_tpm.Wire.encode_request (Vtpm_tpm.Cmd.Pcr_read { pcr = 10 }) in
-  (* Arrival schedule, offset past the setup work already charged to the
-     simulated clock (keygen, checkpoint sealing): victims staggered
-     across one period; the attacker floods from the start at [flood_x]
-     times one victim's rate. *)
-  let t0 = Vtpm_util.Cost.now cost in
+      Monitor.set_supervisor m sup
+  | Sharded | Sharded_group_quota -> (
+      let registry =
+        Host.enable_sharding host ~lanes_per_shard:2
+          ~group_of:(fun (g : Host.guest) ->
+            if g.Host.domid = attacker.Host.domid then "noisy" else "quiet")
+          ()
+      in
+      if config = Sharded_group_quota then
+        match Group.find_label registry "noisy" with
+        | Some s ->
+            Monitor.set_group_quota m ~group_id:s.Group.group_id ~rate_per_s:group_quota_rate
+              ~burst:30.0
+        | None -> invalid_arg "flood_run: noisy group missing"));
+  (* Arrivals are offset past the setup work already charged to the
+     simulated clock (keygen, checkpoint sealing). *)
   let arrivals =
-    let victim_stream i (g : Host.guest) =
-      List.init victim_ops (fun k ->
-          let at =
-            t0
-            +. (victim_period_us *. float_of_int (i + 1) /. float_of_int (victims + 1))
-            +. (victim_period_us *. float_of_int k)
-          in
-          (at, g, (if k mod 4 = 0 then extend_wire ((i * victim_ops) + k) else read_wire), false))
-    in
-    let attacker_stream =
-      let period = victim_period_us /. float_of_int flood_x in
-      List.init (victim_ops * flood_x) (fun k ->
-          (t0 +. 50.0 +. (period *. float_of_int k), attacker, extend_wire (100_000 + k), true))
-    in
-    List.concat (attacker_stream :: List.mapi victim_stream victim_guests)
-    |> List.stable_sort (fun (a, g1, _, _) (b, g2, _, _) ->
-           match Float.compare a b with
-           | 0 -> Stdlib.compare g1.Host.domid g2.Host.domid
-           | c -> c)
-    |> Array.of_list
+    schedule
+      (flood_streams ~t0:(Vtpm_util.Cost.now cost) ~period:victim_period_us ~ops:victim_ops
+         ~slots:(victims + 1) ~flood_x victim_guests attacker)
   in
-  let n = Array.length arrivals in
   let backend = host.Host.backend in
   let vm = Metrics.create () in
   let victim_good = ref 0 in
   let attacker_served = ref 0 and attacker_rejected = ref 0 in
-  let i = ref 0 in
-  let admit_due () =
-    while
-      !i < n
-      &&
-      let at, _, _, _ = arrivals.(!i) in
-      at <= Vtpm_util.Cost.now cost
-    do
-      let at, g, wire, is_attacker = arrivals.(!i) in
-      incr i;
-      match
-        Driver.submit backend g.Host.conn ~wire ~arrival_us:at ~deadline_us ()
-      with
-      | Ok () -> ()
-      | Error (Vtpm_util.Verror.Overloaded _) ->
-          if is_attacker then incr attacker_rejected
-      | Error e -> invalid_arg (Vtpm_util.Verror.to_string e)
-    done
+  let submit ((at, g, wire, _) : arrival) =
+    match Driver.submit backend g.Host.conn ~wire ~arrival_us:at ~deadline_us () with
+    | Ok () -> ()
+    | Error (Vtpm_util.Verror.Overloaded _) ->
+        if g.Host.domid = attacker.Host.domid then incr attacker_rejected
+    | Error e -> invalid_arg (Vtpm_util.Verror.to_string e)
   in
-  while !i < n || Driver.queued_total backend > 0 do
-    (if Driver.queued_total backend = 0 then
-       let at, _, _, _ = arrivals.(!i) in
-       Vtpm_util.Cost.advance_to cost at);
-    admit_due ();
-    match Driver.pump_batch backend with
-    | `Idle -> ()
-    | `Served served ->
-        List.iter
-          (fun (s : Driver.serviced) ->
-            (* Latency runs to the request's lane-completion time, which
-               equals the meter time in the single-lane configuration. *)
-            let latency = s.Driver.s_done_us -. s.Driver.s_arrival_us in
-            let ok =
-              match s.Driver.s_outcome with
-              | Ok o -> o.Driver.status = Proto.Ok_routed
-              | Error _ -> false
-            in
-            if s.Driver.s_domid = attacker.Host.domid then begin
-              if ok then incr attacker_served else incr attacker_rejected
-            end
-            else begin
-              Metrics.add vm latency;
-              if ok && latency <= deadline_us then incr victim_good
-            end)
-          served
-  done;
+  let served (s : Driver.serviced) =
+    let latency, ok = service_result s in
+    if s.Driver.s_domid = attacker.Host.domid then begin
+      if ok then incr attacker_served else incr attacker_rejected
+    end
+    else begin
+      Metrics.add vm latency;
+      if ok && latency <= deadline_us then incr victim_good
+    end
+  in
+  run_arrivals ~cost ~backend arrivals ~admit:(Seq.iter submit) ~served;
   Manager.sync_lanes host.Host.mgr;
   let victim_sent = victims * victim_ops in
   {
@@ -1115,13 +1151,7 @@ let migration_drill ?(migrate = true) ?(flood_x = 10) ?(victims = 2)
   in
   let dest_key = Migration.bind_pubkey b.Host.mgr in
   (* --- Workload on A. *)
-  let victim_guests =
-    List.init victims (fun i ->
-        Host.create_guest_exn a
-          ~name:(Printf.sprintf "victim%d" i)
-          ~label:(Printf.sprintf "tenant_%02d" i) ())
-  in
-  let attacker = Host.create_guest_exn a ~name:"flooder" ~label:"tenant_99" () in
+  let victim_guests, attacker = flood_guests a ~victims in
   let migrant = Host.create_guest_exn a ~name:"migrant" ~label:"tenant_50" () in
   let vtpm_id = migrant.Host.vtpm_id in
   let lineage =
@@ -1130,46 +1160,17 @@ let migration_drill ?(migrate = true) ?(flood_x = 10) ?(victims = 2)
     | Error e -> invalid_arg (Vtpm_util.Verror.to_string e)
   in
   (match Checkpoint.checkpoint_all ckpt with Ok () -> () | Error e -> invalid_arg e);
-  let extend_wire i =
-    Vtpm_tpm.Wire.encode_request
-      (Vtpm_tpm.Cmd.Extend { pcr = 10; digest = Vtpm_crypto.Sha1.digest (string_of_int i) })
-  in
-  let read_wire = Vtpm_tpm.Wire.encode_request (Vtpm_tpm.Cmd.Pcr_read { pcr = 10 }) in
   let t0 = Vtpm_util.Cost.now cost in
   let t_mig = t0 +. (victim_period_us *. float_of_int (migrant_ops / 2)) in
-  (* kind: 0 = victim, 1 = attacker, 2 = migrant (carrying its op index). *)
+  (* The migrant takes the phase slot after the victims'. *)
   let arrivals =
-    let victim_stream i (g : Host.guest) =
-      List.init migrant_ops (fun k ->
-          let at =
-            t0
-            +. (victim_period_us *. float_of_int (i + 1) /. float_of_int (victims + 2))
-            +. (victim_period_us *. float_of_int k)
-          in
-          (at, g, (if k mod 4 = 0 then extend_wire ((i * migrant_ops) + k) else read_wire), 0, k))
-    in
-    let migrant_stream =
-      List.init migrant_ops (fun k ->
-          let at =
-            t0
-            +. (victim_period_us *. float_of_int (victims + 1) /. float_of_int (victims + 2))
-            +. (victim_period_us *. float_of_int k)
-          in
-          (at, migrant, (if k mod 4 = 0 then extend_wire (50_000 + k) else read_wire), 2, k))
-    in
-    let attacker_stream =
-      let period = victim_period_us /. float_of_int flood_x in
-      List.init (migrant_ops * flood_x) (fun k ->
-          (t0 +. 50.0 +. (period *. float_of_int k), attacker, extend_wire (100_000 + k), 1, k))
-    in
-    List.concat (attacker_stream :: migrant_stream :: List.mapi victim_stream victim_guests)
-    |> List.stable_sort (fun (a1, g1, _, _, _) (b1, g2, _, _, _) ->
-           match Float.compare a1 b1 with
-           | 0 -> Stdlib.compare g1.Host.domid g2.Host.domid
-           | c -> c)
-    |> Array.of_list
+    schedule
+      (stream ~t0
+         ~phase:(victim_period_us *. float_of_int (victims + 1) /. float_of_int (victims + 2))
+         ~period:victim_period_us ~count:migrant_ops migrant (mixed_wire ~base:50_000)
+      :: flood_streams ~t0 ~period:victim_period_us ~ops:migrant_ops ~slots:(victims + 2)
+           ~flood_x victim_guests attacker)
   in
-  let n = Array.length arrivals in
   let backend = a.Host.backend in
   (* --- Source-side accounting: the conservation law's three sinks. *)
   let submitted = ref 0 and serviced = ref 0 in
@@ -1178,31 +1179,17 @@ let migration_drill ?(migrate = true) ?(flood_x = 10) ?(victims = 2)
   let migrant_sent = ref 0 in
   let record_serviced (s : Driver.serviced) =
     incr serviced;
-    let latency = s.Driver.s_done_us -. s.Driver.s_arrival_us in
-    let ok =
-      match s.Driver.s_outcome with
-      | Ok o -> o.Driver.status = Proto.Ok_routed
-      | Error _ -> false
-    in
-    if s.Driver.s_domid = migrant.Host.domid then begin
-      if ok && latency <= deadline_us then incr migrant_good_a
-    end
-    else if s.Driver.s_domid <> attacker.Host.domid then
-      if ok && latency <= deadline_us then incr victim_good
-  in
-  let pump_round () =
-    match Driver.pump_batch backend with
-    | `Idle -> false
-    | `Served served ->
-        List.iter record_serviced served;
-        true
+    let latency, ok = service_result s in
+    if ok && latency <= deadline_us then
+      if s.Driver.s_domid = migrant.Host.domid then incr migrant_good_a
+      else if s.Driver.s_domid <> attacker.Host.domid then incr victim_good
   in
   let drained = ref 0 in
   let drain () =
     let before = !serviced in
     let stuck = ref 0 in
     while Driver.queued_total backend > 0 && !stuck < 10_000 do
-      if not (pump_round ()) then incr stuck
+      if not (pump_round backend ~served:record_serviced) then incr stuck
     done;
     let d = !serviced - before in
     drained := !drained + d;
@@ -1384,36 +1371,22 @@ let migration_drill ?(migrate = true) ?(flood_x = 10) ?(victims = 2)
           | Error _ -> ()
           | exception Driver.Denied _ -> ())
   in
-  (* --- The discrete-event loop (the {!flood_run} pump). *)
-  let i = ref 0 in
-  let admit_due () =
-    while
-      !i < n
-      &&
-      let at, _, _, _, _ = arrivals.(!i) in
-      at <= Vtpm_util.Cost.now cost
-    do
-      let at, g, wire, kind, k = arrivals.(!i) in
-      incr i;
-      if kind = 2 then incr migrant_sent;
-      if kind = 2 && !migrated then serve_on_b k
-      else
-        match Driver.submit backend g.Host.conn ~wire ~arrival_us:at ~deadline_us () with
-        | Ok () -> incr submitted
-        | Error (Vtpm_util.Verror.Overloaded _) -> ()
-        | Error e -> invalid_arg (Vtpm_util.Verror.to_string e)
-    done
+  (* --- The flood harness's loop, with the migration trigger per round. *)
+  let admit ((at, g, wire, k) : arrival) =
+    let is_migrant = g.Host.domid = migrant.Host.domid in
+    if is_migrant then incr migrant_sent;
+    if is_migrant && !migrated then serve_on_b k
+    else
+      match Driver.submit backend g.Host.conn ~wire ~arrival_us:at ~deadline_us () with
+      | Ok () -> incr submitted
+      | Error (Vtpm_util.Verror.Overloaded _) -> ()
+      | Error e -> invalid_arg (Vtpm_util.Verror.to_string e)
   in
-  while !i < n || Driver.queued_total backend > 0 do
-    (if Driver.queued_total backend = 0 then
-       let at, _, _, _, _ = arrivals.(!i) in
-       Vtpm_util.Cost.advance_to cost at);
-    admit_due ();
-    (* Trigger the handshake with the just-admitted backlog still queued,
-       so the drain step has real in-flight work to serve. *)
-    (if migrate && (not !migrated) && Vtpm_util.Cost.now cost >= t_mig then run_migration ());
-    ignore (pump_round ())
-  done;
+  run_arrivals ~cost ~backend arrivals ~served:record_serviced ~admit:(fun due ->
+      Seq.iter admit due;
+      (* Trigger the handshake with the just-admitted backlog still
+         queued, so the drain step has real in-flight work to serve. *)
+      if migrate && (not !migrated) && Vtpm_util.Cost.now cost >= t_mig then run_migration ());
   Manager.sync_lanes a.Host.mgr;
   (* --- End-of-run assertions' evidence. *)
   let lost_in_flight =
@@ -1902,19 +1875,11 @@ let fig12 ?(batches = [ 16; 64; 256; 1024 ]) ?(seed = 83) () : fig12_point list 
 
 let fig13 ?(vm_counts = [ 8; 16; 32; 64; 128; 256 ]) ?(rules = 1024) ?(fixed_lanes = 8)
     ?(total_ops = 1920) () : (string * (float * float) list) list * string =
-  let series_for configure =
-    List.map
-      (fun n ->
-        let host, tenants =
-          Workload.make_host_with_tenants ~mode:Host.Improved_mode ~n ~seed:(50 + n) ()
-        in
-        let monitor = Host.monitor_exn host in
-        Monitor.set_policy monitor (Policy.synthetic_guarded ~n:rules);
-        configure host n;
-        let ops_per_tenant = max 1 (total_ops / n) in
-        let r = Workload.run host ~tenants ~mix:Workload.mixed ~ops_per_tenant () in
-        (float_of_int n, r.Workload.throughput_ops_s))
-      vm_counts
+  let series_for place =
+    vm_sweep ~mode:Host.Improved_mode ~seed:50 ~mix:Workload.mixed ~vm_counts ~total_ops
+      (fun host n ->
+        Monitor.set_policy (Host.monitor_exn host) (Policy.synthetic_guarded ~n:rules);
+        place host n)
   in
   let fixed host _n = Vtpm_mgr.Manager.set_lanes host.Host.mgr fixed_lanes in
   let least_loaded host n =
@@ -1950,147 +1915,20 @@ let fig13 ?(vm_counts = [ 8; 16; 32; 64; 128; 256 ]) ?(rules = 1024) ?(fixed_lan
 
    The sharded counterpart of table5: one tenant floods its own vTPM at
    [flood_x] times a victim's rate, with no quota and no admission
-   control — the single-manager host lets the flood serialize on the
-   global meter and the victims' goodput collapses; the sharded host
-   confines the flood to the noisy group's own lanes and frontend, so
-   the quiet group never sees it. A per-group quota on the noisy group
-   additionally caps how much of its own lanes the flooder may burn. *)
+   control — the single-manager host (table5's naive run) lets the flood
+   serialize on the global meter and the victims' goodput collapses; the
+   sharded host confines the flood to the noisy group's own lanes and
+   frontend, so the quiet group never sees it. A per-group quota on the
+   noisy group additionally caps how much of its own lanes the flooder
+   may burn. *)
 
-type table9_row = {
-  t9_config : string;
-  t9_flood_x : int;
-  t9_victim_sent : int;
-  t9_victim_good : int;  (** served OK within the deadline *)
-  t9_victim_goodput_pct : float;
-  t9_victim_p99_us : float;
-  t9_attacker_served : int;
-  t9_attacker_rejected : int;  (** group-quota denials at service time *)
-}
-
-let shard_drill ~sharded ~flood_x ?(victims = 3) ?(victim_period_us = 3_000.0)
-    ?(victim_ops = 200) ?(deadline_us = 10_000.0) ?group_quota_rate ~seed () : table9_row =
-  let open Vtpm_mgr in
-  let host = Host.create ~mode:Host.Improved_mode ~seed ~rsa_bits:256 () in
-  let m = Host.monitor_exn host in
-  let cost = Host.cost host in
-  Monitor.set_audit_cap m (Some 4096);
-  let victim_guests =
-    List.init victims (fun i ->
-        Host.create_guest_exn host
-          ~name:(Printf.sprintf "victim%d" i)
-          ~label:(Printf.sprintf "tenant_%02d" i) ())
-  in
-  let attacker = Host.create_guest_exn host ~name:"flooder" ~label:"tenant_99" () in
-  if sharded then begin
-    let registry =
-      Host.enable_sharding host ~lanes_per_shard:2
-        ~group_of:(fun (g : Host.guest) ->
-          if g.Host.domid = attacker.Host.domid then "noisy" else "quiet")
-        ()
-    in
-    match group_quota_rate with
-    | None -> ()
-    | Some rate -> (
-        match Group.find_label registry "noisy" with
-        | Some s -> Monitor.set_group_quota m ~group_id:s.Group.group_id ~rate_per_s:rate ~burst:30.0
-        | None -> invalid_arg "shard_drill: noisy group missing")
-  end;
-  let extend_wire i =
-    Vtpm_tpm.Wire.encode_request
-      (Vtpm_tpm.Cmd.Extend { pcr = 10; digest = Vtpm_crypto.Sha1.digest (string_of_int i) })
-  in
-  let read_wire = Vtpm_tpm.Wire.encode_request (Vtpm_tpm.Cmd.Pcr_read { pcr = 10 }) in
-  let t0 = Vtpm_util.Cost.now cost in
-  let arrivals =
-    let victim_stream i (g : Host.guest) =
-      List.init victim_ops (fun k ->
-          let at =
-            t0
-            +. (victim_period_us *. float_of_int (i + 1) /. float_of_int (victims + 1))
-            +. (victim_period_us *. float_of_int k)
-          in
-          (at, g, (if k mod 4 = 0 then extend_wire ((i * victim_ops) + k) else read_wire), false))
-    in
-    let attacker_stream =
-      let period = victim_period_us /. float_of_int flood_x in
-      List.init (victim_ops * flood_x) (fun k ->
-          (t0 +. 50.0 +. (period *. float_of_int k), attacker, extend_wire (100_000 + k), true))
-    in
-    List.concat (attacker_stream :: List.mapi victim_stream victim_guests)
-    |> List.stable_sort (fun (a, g1, _, _) (b, g2, _, _) ->
-           match Float.compare a b with
-           | 0 -> Stdlib.compare g1.Host.domid g2.Host.domid
-           | c -> c)
-    |> Array.of_list
-  in
-  let n = Array.length arrivals in
-  let backend = host.Host.backend in
-  let vm = Metrics.create () in
-  let victim_good = ref 0 in
-  let attacker_served = ref 0 and attacker_rejected = ref 0 in
-  let i = ref 0 in
-  let admit_due () =
-    while
-      !i < n
-      &&
-      let at, _, _, _ = arrivals.(!i) in
-      at <= Vtpm_util.Cost.now cost
-    do
-      let at, g, wire, _ = arrivals.(!i) in
-      incr i;
-      match Driver.submit backend g.Host.conn ~wire ~arrival_us:at ~deadline_us () with
-      | Ok () -> ()
-      | Error e -> invalid_arg (Vtpm_util.Verror.to_string e)
-    done
-  in
-  while !i < n || Driver.queued_total backend > 0 do
-    (if Driver.queued_total backend = 0 then
-       let at, _, _, _ = arrivals.(!i) in
-       Vtpm_util.Cost.advance_to cost at);
-    admit_due ();
-    match Driver.pump_batch backend with
-    | `Idle -> ()
-    | `Served served ->
-        List.iter
-          (fun (s : Driver.serviced) ->
-            let latency = s.Driver.s_done_us -. s.Driver.s_arrival_us in
-            let ok =
-              match s.Driver.s_outcome with
-              | Ok o -> o.Driver.status = Proto.Ok_routed
-              | Error _ -> false
-            in
-            if s.Driver.s_domid = attacker.Host.domid then begin
-              if ok then incr attacker_served else incr attacker_rejected
-            end
-            else begin
-              Metrics.add vm latency;
-              if ok && latency <= deadline_us then incr victim_good
-            end)
-          served
-  done;
-  Manager.sync_lanes host.Host.mgr;
-  let victim_sent = victims * victim_ops in
-  {
-    t9_config =
-      (if not sharded then "single-manager"
-       else if group_quota_rate <> None then "sharded+group-quota"
-       else "sharded");
-    t9_flood_x = flood_x;
-    t9_victim_sent = victim_sent;
-    t9_victim_good = !victim_good;
-    t9_victim_goodput_pct = float_of_int !victim_good /. float_of_int victim_sent *. 100.0;
-    t9_victim_p99_us = (Metrics.summarize vm).Metrics.p99;
-    t9_attacker_served = !attacker_served;
-    t9_attacker_rejected = !attacker_rejected;
-  }
-
-let table9 ?(flood_x = 10) ?(victim_ops = 200) () : table9_row list * string =
+let table9 ?(flood_x = 10) ?(victim_ops = 200) () : table5_row list * string =
   let rows =
-    [
-      shard_drill ~sharded:false ~flood_x ~victim_ops ~seed:61 ();
-      shard_drill ~sharded:true ~flood_x ~victim_ops ~seed:61 ();
-      shard_drill ~sharded:true ~flood_x ~victim_ops ~group_quota_rate:400.0 ~seed:61 ();
-    ]
+    List.map
+      (fun config ->
+        let r = flood_run ~config ~flood_x ~victim_ops ~seed:61 () in
+        if config = Naive then { r with config = "single-manager" } else r)
+      [ Naive; Sharded; Sharded_group_quota ]
   in
   let rendered =
     Table.render
@@ -2113,13 +1951,13 @@ let table9 ?(flood_x = 10) ?(victim_ops = 200) () : table9_row list * string =
         (List.map
            (fun r ->
              [
-             r.t9_config;
-             string_of_int r.t9_victim_sent;
-             string_of_int r.t9_victim_good;
-             Printf.sprintf "%.1f" r.t9_victim_goodput_pct;
-             Printf.sprintf "%.0f" r.t9_victim_p99_us;
-             string_of_int r.t9_attacker_served;
-             string_of_int r.t9_attacker_rejected;
+             r.config;
+             string_of_int r.victim_sent;
+             string_of_int r.victim_good;
+             Printf.sprintf "%.1f" r.victim_goodput_pct;
+             Printf.sprintf "%.0f" r.victim_p99_us;
+             string_of_int r.attacker_served;
+             string_of_int r.attacker_rejected;
            ])
          rows)
   in
@@ -2134,30 +1972,18 @@ let table9 ?(flood_x = 10) ?(victim_ops = 200) () : table9_row list * string =
    shards) under the three quote-cost profiles:
    the 2010 model (38 ms per quote), the container-measured schoolbook
    signer (~3.4 ms), and the container-measured Montgomery/CRT signer
-   (~0.34 ms). Only [Cost.quote_cost_us] differs between series; hosts,
-   seeds and op budgets are identical, so the spread between curves is
+   (~0.34 ms). Only each host meter's quote profile differs between
+   series; hosts, seeds and op budgets are identical, so the spread between curves is
    exactly the signature cost's share of the quote path. *)
 
 let fig14 ?(vm_counts = [ 8; 16; 32; 64; 128; 256 ]) ?(rules = 1024) ?(total_ops = 1920) ()
     : (string * (float * float) list) list * string =
   let series_for profile =
-    let saved = Vtpm_util.Cost.current_quote_profile () in
-    Vtpm_util.Cost.set_quote_profile profile;
-    Fun.protect ~finally:(fun () -> Vtpm_util.Cost.set_quote_profile saved) @@ fun () ->
-    List.map
-      (fun n ->
-        let host, tenants =
-          Workload.make_host_with_tenants ~mode:Host.Improved_mode ~n ~seed:(70 + n) ()
-        in
-        let monitor = Host.monitor_exn host in
-        Monitor.set_policy monitor (Policy.synthetic_guarded ~n:rules);
-        ignore (Host.enable_sharding host ~lanes_per_shard:2 ());
-        let ops_per_tenant = max 1 (total_ops / n) in
-        let r =
-          Workload.run host ~tenants ~mix:Workload.attestation_heavy ~ops_per_tenant ()
-        in
-        (float_of_int n, r.Workload.throughput_ops_s))
-      vm_counts
+    vm_sweep ~mode:Host.Improved_mode ~seed:70 ~mix:Workload.attestation_heavy ~vm_counts
+      ~total_ops (fun host _ ->
+        Vtpm_util.Cost.set_quote_profile (Host.cost host) profile;
+        Monitor.set_policy (Host.monitor_exn host) (Policy.synthetic_guarded ~n:rules);
+        ignore (Host.enable_sharding host ~lanes_per_shard:2 ()))
   in
   let series =
     List.map

@@ -123,6 +123,12 @@ type flood_config =
   | Naive  (** unbounded FIFO, no rate limit *)
   | Quota_only  (** token bucket at service time only *)
   | Full_stack  (** bounded queues + deadline shed + quota + supervisor *)
+  | Sharded
+      (** no quota or admission control; the flooder's vTPM in its own
+          "noisy" group shard (2 lanes), the victims in a "quiet" one *)
+  | Sharded_group_quota
+      (** [Sharded] plus a 400/s per-group token bucket (burst 30) on
+          the noisy group *)
 
 val flood_config_name : flood_config -> string
 
@@ -145,9 +151,12 @@ val flood_run :
 (** One discrete-event flood run: [victims] well-behaved guests at a
     steady mixed rate, one attacker flooding extends at [flood_x] times a
     victim's rate, all multiplexed through the shared backend in global
-    arrival order. [lanes] (default 1) sizes the manager's execution-lane
-    pool; [batch] (default 1) bounds the driver's per-round batch drain —
-    the defaults reproduce the serial PR 3 behaviour bit-for-bit. *)
+    arrival order. Table 5, Figure 7 and Table 9 are runs of it; the
+    migration drill (Table 6, Figure 10) shares its arrival schedule and
+    its admit-then-pump loop. [lanes] (default 1) sizes the manager's
+    execution-lane pool; [batch] (default 1) bounds the driver's
+    per-round batch drain — the defaults reproduce the serial PR 3
+    behaviour bit-for-bit. *)
 
 val table5 : ?flood_x:int -> ?victim_ops:int -> unit -> table5_row list * string
 (** Victim goodput, tail latency and attacker containment under a fixed
@@ -318,38 +327,13 @@ val fig13 :
     its 64-VM throughput, with the sharded curve still rising at 256
     VMs. *)
 
-type table9_row = {
-  t9_config : string;
-  t9_flood_x : int;
-  t9_victim_sent : int;
-  t9_victim_good : int;  (** served OK within the deadline *)
-  t9_victim_goodput_pct : float;
-  t9_victim_p99_us : float;
-  t9_attacker_served : int;
-  t9_attacker_rejected : int;  (** group-quota denials at service time *)
-}
-
-val shard_drill :
-  sharded:bool ->
-  flood_x:int ->
-  ?victims:int ->
-  ?victim_period_us:float ->
-  ?victim_ops:int ->
-  ?deadline_us:float ->
-  ?group_quota_rate:float ->
-  seed:int ->
-  unit ->
-  table9_row
-(** One tenant floods its own vTPM at [flood_x] times a victim's rate
-    with no admission control. Unsharded, the flood serializes on the
-    global meter and victim goodput collapses; sharded, it is confined
-    to the noisy group's own lanes and frontend, leaving the quiet
-    group's goodput at 100%. [group_quota_rate] additionally installs a
-    per-group token bucket on the noisy group. *)
-
-val table9 : ?flood_x:int -> ?victim_ops:int -> unit -> table9_row list * string
-(** The cross-group flood drill: single-manager vs sharded vs sharded
-    with a noisy-group quota, as one table. *)
+val table9 : ?flood_x:int -> ?victim_ops:int -> unit -> table5_row list * string
+(** The cross-group flood drill: {!flood_run} under [Naive], [Sharded]
+    and [Sharded_group_quota], as one table with its own columns. The
+    [Naive] row is table5's naive run, labelled ["single-manager"]: one
+    tenant floods its own vTPM with no admission control, and unsharded
+    the flood serializes on the global meter while sharded it stays in
+    the noisy group's own lanes and frontend. *)
 
 val fig14 :
   ?vm_counts:int list ->
@@ -363,5 +347,5 @@ val fig14 :
     The 2010-model series reproduces the paper-era ceiling; the measured
     schoolbook and Montgomery/CRT series re-cost TPM_Quote from this
     container's Bechamel medians, so the gap between the last two curves
-    is the signature speedup's end-to-end effect. The default profile is
-    restored afterwards. *)
+    is the signature speedup's end-to-end effect. Each host's meter
+    carries its series' profile. *)

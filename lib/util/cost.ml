@@ -10,6 +10,15 @@
    ring round trip costs tens of microseconds. Relative magnitudes are what
    matters for the reproduced tables. *)
 
+(* Quote-cost profile: [Quote_model_2010] reproduces the paper-era tables
+   (every seed figure is derived under it); the measured profiles re-cost
+   the quote path from the Bechamel medians in BENCH_PR10.json so fig14
+   can show what the crypto overhaul buys end-to-end. A profile belongs to a meter,
+   so one host's choice never leaks into another's; switching it only
+   affects [quote_cost_us], and the derived [tpm_quote_us] constant itself
+   never changes. *)
+type quote_profile = Quote_model_2010 | Quote_measured_schoolbook | Quote_measured
+
 type t = {
   mutable now_us : float;
   (* Charge redirection: when set, [charge] feeds the sink instead of
@@ -23,9 +32,18 @@ type t = {
      recent one (it may lie ahead of [now_us] when several lanes run). *)
   mutable exec_seq : int;
   mutable last_completion_us : float;
+  mutable quote_profile : quote_profile;
 }
 
-let create () = { now_us = 0.0; sink = None; exec_seq = 0; last_completion_us = 0.0 }
+let create () =
+  {
+    now_us = 0.0;
+    sink = None;
+    exec_seq = 0;
+    last_completion_us = 0.0;
+    quote_profile = Quote_model_2010;
+  }
+
 let now t = t.now_us
 
 let charge t us =
@@ -188,25 +206,15 @@ let tpm_quote_us = (rsa_sign_schoolbook_us *. quote_hw_scale_2010) +. quote_dige
    dozen SHA-1 blocks plus wire encoding, dwarfed by the signature. *)
 let quote_digest_overhead_measured_us = 20.0
 
-(* Quote-cost profile: [Quote_model_2010] reproduces the paper-era tables
-   (every seed figure is derived under it); the measured profiles re-cost
-   the quote path from this container's Bechamel numbers so fig14 can show
-   what the crypto overhaul buys end-to-end. Switching profiles only
-   affects [quote_cost_us]; the derived [tpm_quote_us] constant itself
-   never changes. *)
-type quote_profile = Quote_model_2010 | Quote_measured_schoolbook | Quote_measured
-
 let quote_profile_name = function
   | Quote_model_2010 -> "model-2010"
   | Quote_measured_schoolbook -> "measured-schoolbook"
   | Quote_measured -> "measured-crt"
 
-let quote_profile = ref Quote_model_2010
-let set_quote_profile p = quote_profile := p
-let current_quote_profile () = !quote_profile
+let set_quote_profile t p = t.quote_profile <- p
 
-let quote_cost_us () =
-  match !quote_profile with
+let quote_cost_us t =
+  match t.quote_profile with
   | Quote_model_2010 -> tpm_quote_us
   | Quote_measured_schoolbook -> rsa_sign_schoolbook_us +. quote_digest_overhead_measured_us
   | Quote_measured -> rsa_sign_us +. quote_digest_overhead_measured_us

@@ -130,18 +130,20 @@ val tpm_quote_us : float
 val quote_digest_overhead_measured_us : float
 (** Composite walk + response build measured on this container. *)
 
-(** Quote-cost profile: [Quote_model_2010] (default) reproduces the
-    paper-era tables; the measured profiles re-cost the quote path from
-    this container's Bechamel numbers so fig14 can show the end-to-end
-    effect of the crypto overhaul. Only {!quote_cost_us} is affected. *)
+(** Quote-cost profile: [Quote_model_2010] (every new meter's) reproduces
+    the paper-era tables; the measured profiles re-cost the quote path
+    from the Bechamel medians in BENCH_PR10.json so fig14 can show the
+    end-to-end effect of the crypto overhaul. Only {!quote_cost_us} is
+    affected. *)
 type quote_profile = Quote_model_2010 | Quote_measured_schoolbook | Quote_measured
 
 val quote_profile_name : quote_profile -> string
-val set_quote_profile : quote_profile -> unit
-val current_quote_profile : unit -> quote_profile
 
-val quote_cost_us : unit -> float
-(** Simulated cost of TPM_Quote under the current profile; equals
+val set_quote_profile : t -> quote_profile -> unit
+(** Price this meter's quotes under a profile. *)
+
+val quote_cost_us : t -> float
+(** Simulated cost of TPM_Quote under the meter's profile; equals
     {!tpm_quote_us} under [Quote_model_2010]. *)
 
 val tpm_loadkey_us : float

@@ -314,15 +314,16 @@ let route_for_domid t domid =
       | Some inst -> Some (group_id, inst)
       | None -> None)
 
-(* Simulated execution cost of a TPM command, charged per dispatch. *)
-let command_cost ordinal =
+(* Simulated execution cost of a TPM command on meter [cost], charged per
+   dispatch; the meter's quote profile prices TPM_Quote. *)
+let command_cost cost ordinal =
   let open Vtpm_util.Cost in
   if ordinal = Types.ord_extend then tpm_extend_us
   else if ordinal = Types.ord_pcr_read then tpm_pcr_read_us
   else if ordinal = Types.ord_get_random then tpm_get_random_us
   else if ordinal = Types.ord_seal then tpm_seal_us
   else if ordinal = Types.ord_unseal then tpm_unseal_us
-  else if ordinal = Types.ord_quote then quote_cost_us ()
+  else if ordinal = Types.ord_quote then quote_cost_us cost
   else if ordinal = Types.ord_load_key2 || ordinal = Types.ord_create_wrap_key then tpm_loadkey_us
   else if
     ordinal = Types.ord_nv_read_value || ordinal = Types.ord_nv_write_value
@@ -346,7 +347,7 @@ let execute_wire t (inst : instance) ~(wire : string) : (string, Vtpm_util.Verro
            instances on different lanes overlap in simulated time. *)
         ignore
           (Vtpm_util.Cost.Lanes.exec (pool_for t inst) t.cost ~key:inst.vtpm_id
-             (command_cost (Cmd.ordinal req)));
+             (command_cost t.cost (Cmd.ordinal req)));
         let resp = Engine.execute inst.engine ~locality:0 req in
         Ok (Wire.encode_response resp))
 

@@ -161,8 +161,9 @@ val route_for_domid : t -> Vtpm_xen.Domain.domid -> (int * instance) option
 (** O(1) shard-aware frontend routing: (group_id, instance) for a bound
     domid, group_id 0 when unsharded. *)
 
-val command_cost : int -> float
-(** Simulated execution cost of a TPM ordinal. *)
+val command_cost : Vtpm_util.Cost.t -> int -> float
+(** Simulated execution cost of a TPM ordinal on a meter (its quote
+    profile prices TPM_Quote). *)
 
 val execute_wire : t -> instance -> wire:string -> (string, Vtpm_util.Verror.t) result
 (** Run one TPM wire request on an instance (guest locality 0), charging

@@ -212,6 +212,19 @@ let test_bignum_random_prime () =
   check_i "exact bit width" 64 (Bignum.num_bits p);
   check_b "is prime" true (Bignum.is_probable_prime rng p)
 
+(* No 1-bit prime exists: the search must refuse rather than spin on the
+   only candidate, 1. The smallest width has exactly one answer. *)
+let test_bignum_random_prime_tiny () =
+  let rng = Vtpm_util.Rng.create ~seed:23 in
+  List.iter
+    (fun bits ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d bits refused" bits)
+        (Invalid_argument "Bignum.random_prime: need at least 2 bits")
+        (fun () -> ignore (Bignum.random_prime rng ~bits)))
+    [ 1; 0 ];
+  check_i "2 bits gives 3" 3 (bn_int (Bignum.random_prime rng ~bits:2))
+
 let test_bignum_gcd () =
   check_i "gcd" 6 (bn_int (Bignum.gcd (bn 48) (bn 18)));
   check_i "gcd coprime" 1 (bn_int (Bignum.gcd (bn 35) (bn 64)));
@@ -701,6 +714,7 @@ let suite =
     Alcotest.test_case "bignum bytes roundtrip" `Quick test_bignum_bytes_roundtrip;
     Alcotest.test_case "bignum primality" `Quick test_bignum_primality;
     Alcotest.test_case "bignum random prime" `Quick test_bignum_random_prime;
+    Alcotest.test_case "bignum random prime below 2 bits" `Quick test_bignum_random_prime_tiny;
     Alcotest.test_case "bignum gcd" `Quick test_bignum_gcd;
     QCheck_alcotest.to_alcotest prop_add_commutes;
     QCheck_alcotest.to_alcotest prop_add_matches_int;

@@ -294,24 +294,24 @@ let test_group_audit_tag_on_requests () =
 
 let test_group_quota_scoped_to_group () =
   let r =
-    Experiments.shard_drill ~sharded:true ~flood_x:5 ~victim_ops:40
-      ~group_quota_rate:400.0 ~seed:7 ()
+    Experiments.flood_run ~config:Experiments.Sharded_group_quota ~flood_x:5 ~victim_ops:40
+      ~seed:7 ()
   in
-  check_b "victims (other group) unthrottled" true (r.Experiments.t9_victim_goodput_pct >= 100.0);
+  check_b "victims (other group) unthrottled" true (r.Experiments.victim_goodput_pct >= 100.0);
   check_b "flooder throttled by its own group's bucket" true
-    (r.Experiments.t9_attacker_rejected > 0)
+    (r.Experiments.attacker_rejected > 0)
 
 (* --- Isolation drill (small scale) ---------------------------------------------- *)
 
 let test_shard_drill_small () =
-  let naive = Experiments.shard_drill ~sharded:false ~flood_x:5 ~victim_ops:40 ~seed:7 () in
-  let sharded = Experiments.shard_drill ~sharded:true ~flood_x:5 ~victim_ops:40 ~seed:7 () in
+  let run config = Experiments.flood_run ~config ~flood_x:5 ~victim_ops:40 ~seed:7 () in
+  let naive = run Experiments.Naive and sharded = run Experiments.Sharded in
   check_b
     (Printf.sprintf "single manager degrades under flood (%.1f%%)"
-       naive.Experiments.t9_victim_goodput_pct)
+       naive.Experiments.victim_goodput_pct)
     true
-    (naive.Experiments.t9_victim_goodput_pct < 100.0);
-  check_f "sharded victim group at 100%" 100.0 sharded.Experiments.t9_victim_goodput_pct
+    (naive.Experiments.victim_goodput_pct < 100.0);
+  check_f "sharded victim group at 100%" 100.0 sharded.Experiments.victim_goodput_pct
 
 (* --- fig13 at reduced scale ------------------------------------------------------ *)
 
