@@ -6,8 +6,9 @@
    inside OCaml's 63-bit native int, so schoolbook multiplication needs no
    intermediate boxing.
 
-   Only naturals are provided; the one signed computation (extended
-   Euclid for the RSA private exponent) tracks signs explicitly in
+   Only naturals are provided; the one signed computation (Lehmer's
+   extended Euclid, for the RSA private exponent and CRT coefficient)
+   keeps cofactor magnitudes and the parity of their index in
    [mod_inverse]. *)
 
 type t = int array (* little-endian limbs, no trailing zero limb; zero = [||] *)
@@ -446,29 +447,134 @@ let mod_pow ~modulus base exp =
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
-(* Modular inverse of [a] mod [m] via extended Euclid with explicit signs.
-   Returns [None] when gcd(a, m) <> 1. *)
+(* [p*x + q*y] when [sign = 1], [p*x - q*y] when [sign = -1] (the caller
+   knows the difference is non-negative), for native multipliers
+   0 <= p, q < 2^61. Each product runs its own carry chain over the
+   multiplier's two halves (a limb times the 31-bit high half stays below
+   2^61, so a chain's accumulator stays below 2^62); the two chains'
+   limbs are then added or subtracted with a carry in {-1, 0, 1}. *)
+let lin_comb (x : t) p (y : t) q ~sign : t =
+  let lx = Array.length x and ly = Array.length y in
+  let n = max lx ly + 3 in
+  let out = Array.make n 0 in
+  let p_lo = p land limb_mask and p_hi = p lsr limb_bits in
+  let q_lo = q land limb_mask and q_hi = q lsr limb_bits in
+  let limb a la i = if i >= 0 && i < la then Array.unsafe_get a i else 0 in
+  let cx = ref 0 and cy = ref 0 and c = ref 0 in
+  for i = 0 to n - 1 do
+    let px = (p_lo * limb x lx i) + (p_hi * limb x lx (i - 1)) + !cx in
+    let py = (q_lo * limb y ly i) + (q_hi * limb y ly (i - 1)) + !cy in
+    cx := px lsr limb_bits;
+    cy := py lsr limb_bits;
+    let d = (px land limb_mask) + (sign * (py land limb_mask)) + !c in
+    out.(i) <- d land limb_mask;
+    c := d asr limb_bits
+  done;
+  (* A borrow out of the top limb means a negative result: a quotient
+     taken as certain was wrong. Fail rather than loop on garbage. *)
+  assert (!c = 0);
+  normalize out
+
+(* The 60 bits of [a] from bit [s] up; [a] has at most [s + 60] bits.
+   A limb read at offset [30 - off] or [60 - off] lands inside the 60-bit
+   window because every bit of [a] above [s + 60] is zero. *)
+let bits60 (a : t) s =
+  let i = s / limb_bits and off = s mod limb_bits in
+  let la = Array.length a in
+  let limb j = if j < la then a.(j) else 0 in
+  (limb i lsr off) lor (limb (i + 1) lsl (limb_bits - off)) lor (limb (i + 2) lsl ((2 * limb_bits) - off))
+
+(* Modular inverse of [a] mod [m] by Lehmer's extended Euclid (Knuth
+   4.5.2, Algorithm L). The remainder sequence r_0 = m, r_1 = a mod m, ...
+   is the one of the textbook Euclid, and so are its cofactors s_i (with
+   r_i = s_i * a mod m); the s_i alternate in sign (s_1 = 1, s_2 = -q_1,
+   ...), so only their magnitudes are kept, and the sign of the last one
+   follows from its index's parity.
+
+   Each round reads the top 60 bits of both remainders at the same shift
+   and runs Euclid on them in native ints, accumulating the 2x2 matrix
+   [[a; b]; [c; d]] of the steps taken, for as long as both bounds on the
+   true quotient, (u + a) / (v + c) and (u + b) / (v + d), give the same
+   floor: those quotients are then exactly the bignum ones. The matrix is
+   applied to the bignum remainders and cofactor magnitudes in one pass
+   each; when the very first quotient is uncertain (the matrix stays the
+   identity), one [divmod] step runs instead. Once the larger remainder
+   fits in 61 bits, native Euclid finishes the sequence. Returns [None]
+   when gcd(a, m) <> 1. *)
 let mod_inverse ~modulus:m a =
-  (* Invariants: r_old = s_old * a (mod m) with sign tracking. *)
-  let rec go r_old s_old neg_old r s neg =
-    if is_zero r then
-      if equal r_old one then
-        Some (if neg_old then sub m (rem s_old m) else rem s_old m)
-      else None
+  (* Remainders u > v >= 0 at indices i and i+1, cofactor magnitudes s0, s1. *)
+  let rec loop u v s0 s1 i =
+    let nu = num_bits u in
+    if nu <= 61 then finish (Option.get (to_int_opt u)) (Option.get (to_int_opt v)) s0 s1 i
+    else if is_zero v then None (* gcd = u > 1 *)
     else begin
-      let q, r' = divmod r_old r in
-      (* s' = s_old - q * s, with signs. *)
-      let qs = mul q s in
-      let s', neg' =
-        if neg_old = neg then
-          if compare s_old qs >= 0 then (sub s_old qs, neg_old) else (sub qs s_old, not neg_old)
-        else (add s_old qs, neg_old)
-      in
-      go r s neg r' s' neg'
+      let sh = nu - 60 in
+      let uh = ref (bits60 u sh) and vh = ref (bits60 v sh) in
+      let ma = ref 1 and mb = ref 0 and mc = ref 0 and md = ref 1 and k = ref 0 in
+      let certain = ref true in
+      while !certain do
+        let vc = !vh + !mc and vd = !vh + !md and ua = !uh + !ma and ub = !uh + !mb in
+        if vc <= 0 || vd <= 0 || ua < 0 || ub < 0 then certain := false
+        else begin
+          let q = ua / vc in
+          if q <> ub / vd then certain := false
+          else begin
+            let t = !ma - (q * !mc) in
+            ma := !mc;
+            mc := t;
+            let t = !mb - (q * !md) in
+            mb := !md;
+            md := t;
+            let t = !uh - (q * !vh) in
+            uh := !vh;
+            vh := t;
+            incr k
+          end
+        end
+      done;
+      if !mb = 0 then begin
+        let q, r = divmod u v in
+        loop v r s1 (add s0 (mul q s1)) (i + 1)
+      end
+      else begin
+        (* After k steps the signs are (a, b, c, d) = (+, -, -, +) for even
+           k and (-, +, +, -) for odd k. *)
+        let a = abs !ma and b = abs !mb and c = abs !mc and d = abs !md in
+        let u', v' =
+          if !k land 1 = 0 then (lin_comb u a v b ~sign:(-1), lin_comb v d u c ~sign:(-1))
+          else (lin_comb v b u a ~sign:(-1), lin_comb u c v d ~sign:(-1))
+        in
+        loop u' v' (lin_comb s0 a s1 b ~sign:1) (lin_comb s0 c s1 d ~sign:1) (i + !k)
+      end
+    end
+  (* Native Euclid on u > v >= 0, both below 2^61: every matrix entry is
+     bounded by the starting u, so nothing overflows. *)
+  and finish u v s0 s1 i =
+    let u = ref u and v = ref v and ma = ref 1 and mb = ref 0 and mc = ref 0 and md = ref 1 in
+    let k = ref 0 in
+    while !v <> 0 do
+      let q = !u / !v in
+      let t = !u - (q * !v) in
+      u := !v;
+      v := t;
+      let t = !ma - (q * !mc) in
+      ma := !mc;
+      mc := t;
+      let t = !mb - (q * !md) in
+      mb := !md;
+      md := t;
+      incr k
+    done;
+    if !u <> 1 then None
+    else begin
+      (* s_n for the last index n: positive exactly when n is odd, and
+         |s_n| <= m / r_(n-1) <= m / 2 unless n = 1, where s_1 = 1. *)
+      let s = lin_comb s0 (abs !ma) s1 (abs !mb) ~sign:1 in
+      Some (if (i + !k) land 1 = 1 then s else sub m s)
     end
   in
   let a = rem a m in
-  if is_zero a then None else go m zero false a one false
+  if is_zero a then None else loop m a zero one 0
 
 (* Big-endian byte-string conversions (the TPM wire format for keys). Both
    directions stream bits through a native-int accumulator: bytes are

@@ -4,8 +4,9 @@
     key hierarchy needs RSA, so the repo carries its own naturals:
     little-endian limbs in base 2^30, chosen so a limb product plus
     carries stays inside OCaml's 63-bit native [int]. Only naturals are
-    provided; the one signed computation (extended Euclid) tracks signs
-    internally in {!mod_inverse}. *)
+    provided; the one signed computation (the cofactors of Lehmer's
+    extended Euclid) keeps magnitudes and a parity internally in
+    {!mod_inverse}. *)
 
 type t = int array
 (** Little-endian limbs, no trailing zero limb; zero is [[||]]. The
@@ -86,7 +87,13 @@ module Montgomery : sig
 end
 
 val mod_inverse : modulus:t -> t -> t option
-(** Multiplicative inverse; [None] when not coprime with the modulus. *)
+(** [mod_inverse ~modulus:m a] is [Some x] with [x < m] and
+    [a * x = 1 (mod m)], or [None] when [gcd(a, m) <> 1]; [None] also
+    for [a mod m = 0], which includes [m = 1]. Lehmer's extended Euclid
+    (Knuth 4.5.2, Algorithm L): native-int steps on the leading 60 bits,
+    applied to the bignums as one 2x2 matrix per round, and native Euclid
+    once the remainders fit in 61 bits.
+    @raise Division_by_zero when [m = 0]. *)
 
 (** {1 Byte-string conversion (big-endian, as in TPM key blobs)} *)
 

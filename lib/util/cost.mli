@@ -162,9 +162,9 @@ val monitor_measure_gate_us : float
 (** Measurement-gate (PCR composite) comparison. *)
 
 val monitor_index_lookup_us : float
-(** Bucket lookup in the compiled policy index — charged (in addition to
-    the per-candidate scan) only when the monitor's indexed evaluation is
-    enabled. *)
+(** Bucket lookup in the compiled policy index, the monitor's only
+    evaluator: charged on every decision the policy evaluates, in addition
+    to the per-candidate scan. A decision-cache hit does not pay it. *)
 
 val audit_append_us : float
 

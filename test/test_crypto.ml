@@ -670,6 +670,10 @@ let test_rsa_key_codec_versions () =
       check_b "v2 dq" true (Bignum.equal k.Rsa.dq key.Rsa.dq);
       check_b "v2 qinv" true (Bignum.equal k.Rsa.qinv key.Rsa.qinv);
       check_s "v2 sig" (Vtpm_util.Hex.encode expect) (Vtpm_util.Hex.encode (Rsa.sign k ~digest)));
+  (* A v1 blob has no CRT coefficient to carry; with p = q there is none
+     to recompute, and the decode refuses it. *)
+  check_b "v1 with p = q rejected" true
+    (Rsa.key_of_bytes (Rsa.key_to_bytes_v1 { key with Rsa.q = key.Rsa.p }) = None);
   (* v1 (pre-overhaul, no CRT fields) still decodes; the derived fields
      are recomputed so signatures stay identical. *)
   match Rsa.key_of_bytes (Rsa.key_to_bytes_v1 key) with
@@ -690,6 +694,118 @@ let test_montgomery_rejects_even () =
     (Bignum.equal
        (Bignum.mod_pow ~modulus:(Bignum.of_int 10) (Bignum.of_int 7) (Bignum.of_int 3))
        (Bignum.of_int 3))
+
+(* --- XTEA against the published algorithm ------------------------------------ *)
+
+(* Needham–Wheeler XTEA transcribed from the spec on Int32, one block at a
+   time, and counter mode over it: block i of the keystream encrypts
+   (nonce mod 2^32, i), big-endian. *)
+let spec_xtea_block (k : int32 array) (v0, v1) =
+  let open Int32 in
+  let f v = add (logxor (shift_left v 4) (shift_right_logical v 5)) v in
+  let v0 = ref v0 and v1 = ref v1 and sum = ref 0l in
+  for _ = 1 to 32 do
+    v0 := add !v0 (logxor (f !v1) (add !sum k.(to_int (logand !sum 3l))));
+    sum := add !sum 0x9E3779B9l;
+    v1 := add !v1 (logxor (f !v0) (add !sum k.(to_int (logand (shift_right_logical !sum 11) 3l))))
+  done;
+  (!v0, !v1)
+
+let spec_xtea_ctr key ~nonce data =
+  let k = Array.init 4 (fun i -> String.get_int32_be key (4 * i)) in
+  let ks = Bytes.create (String.length data + 8) in
+  for b = 0 to String.length data / 8 do
+    let c0, c1 = spec_xtea_block k (Int32.of_int (nonce land 0xffffffff), Int32.of_int b) in
+    Bytes.set_int32_be ks (8 * b) c0;
+    Bytes.set_int32_be ks ((8 * b) + 4) c1
+  done;
+  String.mapi (fun i c -> Char.chr (Char.code c lxor Bytes.get_uint8 ks i)) data
+
+let test_xtea_known_answers () =
+  let hex_block (c0, c1) = Printf.sprintf "%08lx%08lx" c0 c1 in
+  let k_seq = String.init 16 Char.chr and k_zero = String.make 16 '\x00' in
+  List.iter
+    (fun (name, key, pt, expect) ->
+      check_s name expect (hex_block (Xtea.encrypt_block (Xtea.key_of_string key) pt));
+      check_s (name ^ " (spec transcription)") expect
+        (hex_block (spec_xtea_block (Array.init 4 (fun i -> String.get_int32_be key (4 * i))) pt)))
+    [
+      ("key 00..0f, ABCDEFGH", k_seq, (0x41424344l, 0x45464748l), "497df3d072612cb5");
+      ("key 00..0f, AAAAAAAA", k_seq, (0x41414141l, 0x41414141l), "e78f2d13744341d8");
+      ("zero key, ABCDEFGH", k_zero, (0x41424344l, 0x45464748l), "a0390589f8b8efa5");
+    ]
+
+let prop_xtea_ctr_matches_spec =
+  QCheck.Test.make ~name:"xtea ctr == spec transcription" ~count:300
+    (QCheck.make
+       ~print:(fun (key, nonce, msg) ->
+         Printf.sprintf "key %s nonce %d len %d" (Vtpm_util.Hex.encode key) nonce (String.length msg))
+       QCheck.Gen.(
+         triple (string_size (return 16))
+           (frequency
+              [ (2, small_nat); (2, map (fun x -> (1 lsl 32) + x) (int_bound (1 lsl 40))); (1, int) ])
+           (string_size (int_range 0 300))))
+    (fun (key, nonce, msg) -> Xtea.ctr_transform (Xtea.key_of_string key) ~nonce msg = spec_xtea_ctr key ~nonce msg)
+
+(* --- mod_inverse against the textbook extended Euclid ------------------------- *)
+
+(* The one-division-per-step extended Euclid that Lehmer's algorithm
+   replaced, with explicit signs on the cofactors. *)
+let euclid_mod_inverse ~modulus:m a =
+  let open Bignum in
+  let rec go r_old s_old neg_old r s neg =
+    if is_zero r then
+      if equal r_old one then Some (if neg_old then sub m (rem s_old m) else rem s_old m) else None
+    else begin
+      let q, r' = divmod r_old r in
+      let qs = mul q s in
+      let s', neg' =
+        if neg_old = neg then
+          if compare s_old qs >= 0 then (sub s_old qs, neg_old) else (sub qs s_old, not neg_old)
+        else (add s_old qs, neg_old)
+      in
+      go r s neg r' s' neg'
+    end
+  in
+  let a = rem a m in
+  if is_zero a then None else go m zero false a one false
+
+(* Consecutive Fibonacci numbers: every quotient is 1, the longest
+   remainder sequence for their size. *)
+let fib n =
+  let rec go a b n = if n = 0 then a else go b (Bignum.add a b) (n - 1) in
+  go Bignum.zero Bignum.one n
+
+let gen_inverse_case =
+  let open QCheck.Gen in
+  let big max_bytes = map Bignum.of_bytes_be (string_size (int_range 0 max_bytes)) in
+  triple (big 75) (big 88) bool >>= fun (m, a, odd) ->
+  (* Moduli up to 600 bits, forced odd or even half the time each. *)
+  let m = if Bignum.is_zero m then Bignum.two else m in
+  let m = if odd = Bignum.is_even m then Bignum.add m Bignum.one else m in
+  frequency
+    [
+      (6, return (m, a));
+      (1, return (m, Bignum.add m a));
+      (1, return (m, Bignum.zero));
+      (1, return (Bignum.one, a));
+      (1, return (m, Bignum.of_int 65537));
+      (2, map (fun g -> (Bignum.mul g m, Bignum.mul g a)) (map (Bignum.add Bignum.two) (big 8)));
+      (1, map (fun n -> (fib (n + 1), fib n)) (int_range 2 860));
+    ]
+
+let prop_mod_inverse_matches_euclid =
+  QCheck.Test.make ~name:"bignum mod_inverse == extended Euclid" ~count:600
+    (QCheck.make
+       ~print:(fun (m, a) -> Printf.sprintf "m=%s a=%s" (Bignum.to_hex m) (Bignum.to_hex a))
+       gen_inverse_case)
+    (fun (m, a) ->
+      let got = Bignum.mod_inverse ~modulus:m a in
+      got = euclid_mod_inverse ~modulus:m a
+      &&
+      match got with
+      | None -> true
+      | Some x -> Bignum.compare x m < 0 && Bignum.equal (Bignum.mod_mul m a x) Bignum.one)
 
 let suite =
   [
@@ -755,4 +871,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_montgomery_edge_bases;
     QCheck_alcotest.to_alcotest prop_codec_matches_quadratic;
     QCheck_alcotest.to_alcotest prop_primality_matches_old;
+    Alcotest.test_case "xtea known answers" `Quick test_xtea_known_answers;
+    QCheck_alcotest.to_alcotest prop_xtea_ctr_matches_spec;
+    QCheck_alcotest.to_alcotest prop_mod_inverse_matches_euclid;
   ]

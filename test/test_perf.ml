@@ -281,6 +281,52 @@ let test_quota_remaining_does_not_allocate () =
   check_f "tracked subject reports spent tokens" 4.0 (Quota.remaining q (Subject.Guest 1));
   check_i "probing a tracked subject allocates nothing" 1 (Quota.tracked q)
 
+(* Minor-heap words [f] allocates (the probe itself boxes a float or two). *)
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_xtea_ctr_allocation_budget () =
+  (* A sealed vTPM state is about 716 bytes: the kernel allocates the
+     output string and nothing per block. *)
+  let key = Vtpm_crypto.Xtea.key_of_string (String.make 16 'k') in
+  let state = String.make 716 's' in
+  ignore (Vtpm_crypto.Xtea.ctr_transform key ~nonce:7 state);
+  let words = minor_words (fun () -> ignore (Vtpm_crypto.Xtea.ctr_transform key ~nonce:7 state)) in
+  if words > 200.0 then Alcotest.failf "ctr_transform on 716 bytes allocated %.0f words (budget 200)" words
+
+let test_protected_hop_allocation_budget () =
+  (* One protected migration hop (export on the holder, import on the
+     other host) between two freshness-enforcing hosts, measured on the
+     return leg so both hosts are warm. *)
+  let hosts =
+    Array.map
+      (fun seed ->
+        let h = Host.create ~seed ~rsa_bits:256 () in
+        (match Monitor.enable_freshness (Host.monitor_exn h) with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e);
+        h)
+      [| 31; 32 |]
+  in
+  let g = Host.create_guest_exn hosts.(0) ~name:"hop" ~label:"tenant_m" () in
+  let mgmt h op = Host.management h ~process:Host.manager_process ~token:(Host.manager_token h) op in
+  let hop ~src ~dst vtpm_id =
+    let dest_key = Some (Migration.bind_pubkey hosts.(dst).Host.mgr) in
+    match mgmt hosts.(src) (Monitor.Migrate_out { vtpm_id; dest_key }) with
+    | Ok (Monitor.M_blob stream) -> (
+        match mgmt hosts.(dst) (Monitor.Migrate_in { stream }) with
+        | Ok (Monitor.M_instance id) -> id
+        | Ok _ | Error _ -> Alcotest.fail "migrate-in refused")
+    | Ok _ | Error _ -> Alcotest.fail "migrate-out refused"
+  in
+  let there = hop ~src:0 ~dst:1 g.Host.vtpm_id in
+  let back = ref 0 in
+  let words = minor_words (fun () -> back := hop ~src:1 ~dst:0 there) in
+  check_b "instance home again" true (Result.is_ok (Manager.find hosts.(0).Host.mgr !back));
+  if words > 10_000.0 then Alcotest.failf "protected hop allocated %.0f words (budget 10 000)" words
+
 let test_hw_client_deterministic_across_churn () =
   (* The hardware client's auth-session nonces must derive from the
      manager's creation seed, not the mutable per-instance seed counter:
@@ -556,4 +602,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_monitor_matches_linear_oracle;
     Alcotest.test_case "monitor: gated decisions indexed and live" `Quick
       test_gated_decisions_indexed_and_live;
+    Alcotest.test_case "xtea: ctr on a 716-byte state within budget" `Quick
+      test_xtea_ctr_allocation_budget;
+    Alcotest.test_case "migration: protected hop within budget" `Quick
+      test_protected_hop_allocation_budget;
   ]

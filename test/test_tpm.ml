@@ -235,6 +235,18 @@ let test_keystore_capacity () =
   | Ok _ -> Alcotest.fail "expected resource error");
   check_b "evict missing" true (Keystore.evict ks 0x999 = Error Types.tpm_keynotfound)
 
+(* Material whose primes share a factor has no CRT coefficient: the
+   import must refuse it rather than build a key that signs wrongly. *)
+let test_keystore_shared_factor_rejected () =
+  let m = make_material Types.Signing in
+  let p = m.Keystore.rsa.Vtpm_crypto.Rsa.p in
+  List.iter
+    (fun (name, q) ->
+      let bad = { m with Keystore.rsa = { m.Keystore.rsa with Vtpm_crypto.Rsa.q } } in
+      check_b name true
+        (Keystore.deserialize_material (Keystore.serialize_material bad) = Error Types.tpm_bad_parameter))
+    [ ("q = p", p); ("q = 3p", Vtpm_crypto.Bignum.mul p (Vtpm_crypto.Bignum.of_int 3)) ]
+
 (* --- Engine + client flows ------------------------------------------------------- *)
 
 let make_engine ?(seed = 7) () =
@@ -864,4 +876,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_wire_header_consistent;
     QCheck_alcotest.to_alcotest prop_wire_decode_never_crashes;
     QCheck_alcotest.to_alcotest prop_wire_truncation_rejected;
+    Alcotest.test_case "keystore rejects shared-factor material" `Quick
+      test_keystore_shared_factor_rejected;
   ]
