@@ -42,20 +42,31 @@ let create ~cost =
     dropped = 0;
   }
 
-(* Per-entry digest: a binary length-delimited encoding fed straight into
-   a reused SHA-256 context. No [Printf], no hex round-trip of the
-   previous hash, no intermediate concatenation — this runs on every
-   mediated request and is pure wall-clock overhead. The encoding is
-   unambiguous: fixed-width binary for numerics, a 4-byte length prefix
-   before each variable field, the raw 32-byte previous hash last. *)
+(* Per-entry digest: a binary length-delimited encoding, built in one
+   reused scratch block and fed to a reused SHA-256 context in a single
+   call. No [Printf], no hex round-trip of the previous hash, no
+   intermediate string — this runs on every mediated request and is pure
+   wall-clock overhead. The encoding is unambiguous: fixed-width binary
+   for numerics (seq:8 time:8 instance-flag:1 instance:8 allowed:1), a
+   4-byte length prefix before each variable field (subject, operation,
+   reason), the raw 32-byte previous hash last. *)
 let digest_ctx = lazy (Vtpm_crypto.Sha256.init ())
-let digest_fixed = Bytes.create 26 (* seq:8 time:8 instance:8 flags:2 *)
-let digest_len4 = Bytes.create 4 (* length prefix scratch *)
+let digest_scratch = ref (Bytes.create 256)
+
+(* A length-prefixed field at [off]; returns the offset after it. *)
+let put_field b off s =
+  let n = String.length s in
+  Bytes.set_int32_be b off (Int32.of_int n);
+  Bytes.blit_string s 0 b (off + 4) n;
+  off + 4 + n
 
 let entry_digest ~seq ~time_us ~subject ~operation ~instance ~allowed ~reason ~prev_hash =
-  let ctx = Lazy.force digest_ctx in
-  Vtpm_crypto.Sha256.reset ctx;
-  let b = digest_fixed in
+  let len =
+    26 + 12 + String.length subject + String.length operation + String.length reason
+    + String.length prev_hash
+  in
+  if Bytes.length !digest_scratch < len then digest_scratch := Bytes.create (2 * len);
+  let b = !digest_scratch in
   Bytes.set_int64_be b 0 (Int64.of_int seq);
   Bytes.set_int64_be b 8 (Int64.bits_of_float time_us);
   (match instance with
@@ -66,16 +77,13 @@ let entry_digest ~seq ~time_us ~subject ~operation ~instance ~allowed ~reason ~p
       Bytes.set b 16 '\x00';
       Bytes.set_int64_be b 17 0L);
   Bytes.set b 25 (if allowed then '\x01' else '\x00');
-  Vtpm_crypto.Sha256.feed_bytes ctx b ~off:0 ~len:26;
-  let feed_field s =
-    Bytes.set_int32_be digest_len4 0 (Int32.of_int (String.length s));
-    Vtpm_crypto.Sha256.feed_bytes ctx digest_len4 ~off:0 ~len:4;
-    Vtpm_crypto.Sha256.feed ctx s
-  in
-  feed_field subject;
-  feed_field operation;
-  feed_field reason;
-  Vtpm_crypto.Sha256.feed ctx prev_hash;
+  let off = put_field b 26 subject in
+  let off = put_field b off operation in
+  let off = put_field b off reason in
+  Bytes.blit_string prev_hash 0 b off (String.length prev_hash);
+  let ctx = Lazy.force digest_ctx in
+  Vtpm_crypto.Sha256.reset ctx;
+  Vtpm_crypto.Sha256.feed_bytes ctx b ~off:0 ~len;
   Vtpm_crypto.Sha256.finalize ctx
 
 (* Keep the newest [n] entries (the list is newest first): one

@@ -21,9 +21,13 @@ type t = {
   by_domid : (Vtpm_xen.Domain.domid, binding) Hashtbl.t;
   by_instance : (int, binding) Hashtbl.t;
   cost : Vtpm_util.Cost.t;
+  mutable generation : int; (* bumped by every bind and unbind *)
 }
 
-let create ~cost = { by_domid = Hashtbl.create 16; by_instance = Hashtbl.create 16; cost }
+let create ~cost =
+  { by_domid = Hashtbl.create 16; by_instance = Hashtbl.create 16; cost; generation = 0 }
+
+let generation t = t.generation
 
 let bind t ~vtpm_id ~domid ~reference_measurement : (binding, Vtpm_util.Verror.t) result =
   if Hashtbl.mem t.by_domid domid then
@@ -34,6 +38,7 @@ let bind t ~vtpm_id ~domid ~reference_measurement : (binding, Vtpm_util.Verror.t
     let b = { vtpm_id; domid; reference_measurement; bound_at = Vtpm_util.Cost.now t.cost } in
     Hashtbl.replace t.by_domid domid b;
     Hashtbl.replace t.by_instance vtpm_id b;
+    t.generation <- t.generation + 1;
     Ok b
   end
 
@@ -42,7 +47,8 @@ let unbind t ~domid =
   | None -> ()
   | Some b ->
       Hashtbl.remove t.by_domid domid;
-      Hashtbl.remove t.by_instance b.vtpm_id
+      Hashtbl.remove t.by_instance b.vtpm_id;
+      t.generation <- t.generation + 1
 
 let lookup_domid t domid = Hashtbl.find_opt t.by_domid domid
 let lookup_instance t vtpm_id = Hashtbl.find_opt t.by_instance vtpm_id

@@ -26,6 +26,10 @@ val bind :
 
 val unbind : t -> domid:Vtpm_xen.Domain.domid -> unit
 
+val generation : t -> int
+(** Bumped by every {!bind} and {!unbind}: while it is unchanged, every
+    lookup gives the same answer. *)
+
 val lookup_domid : t -> Vtpm_xen.Domain.domid -> binding option
 val lookup_instance : t -> int -> binding option
 val bindings : t -> binding list

@@ -105,11 +105,13 @@ let enable_sharding t ?lanes_per_shard ?group_of () =
   in
   t.group_of <- Some label_of;
   List.iter (fun g -> assign_guest_group t g (label_of g)) (List.rev t.guests);
-  Vtpm_mgr.Driver.set_lane_sink t.backend (fun fe_domid ->
+  (* Each connection resolves its sink once per placement generation. *)
+  Vtpm_mgr.Driver.set_lane_sink t.backend
+    ~stamp:(fun () -> Vtpm_mgr.Manager.placement t.mgr)
+    (fun fe_domid ->
       match Vtpm_mgr.Manager.route_for_domid t.mgr fe_domid with
       | Some (group_id, inst) when group_id <> 0 ->
-          let vtpm_id = inst.Vtpm_mgr.Manager.vtpm_id in
-          Some (fun us -> Vtpm_mgr.Manager.charge_lane t.mgr ~vtpm_id us)
+          Some (Vtpm_mgr.Manager.lane_charger t.mgr ~vtpm_id:inst.Vtpm_mgr.Manager.vtpm_id)
       | _ -> None);
   registry
 

@@ -32,6 +32,25 @@ type stats = {
   mutable transport_tampers : int; (* ring/grant integrity violations detected *)
 }
 
+(* What the router needs about a sender besides the policy decision,
+   resolved on its first request and reused while neither the binding
+   table nor the manager's placement has moved ([routes] is emptied when
+   either does): the binding, the subject and its audit name, the bound
+   instance, and the group's audit tag with the reasons it has tagged. *)
+type route = {
+  r_binding : Binding.binding;
+  r_bound : Binding.binding option; (* [Some r_binding], for [decide] *)
+  r_vtpm : int option; (* [Some] bound instance id, for the audit entry *)
+  r_subject : Subject.t;
+  r_name : string; (* [Subject.to_string r_subject] *)
+  r_instance : (Vtpm_mgr.Manager.instance, Vtpm_util.Verror.t) result;
+  r_gtag : string; (* ";group:<label>" on a sharded host, else "" *)
+  mutable r_tagged : (string * string) list;
+      (* reason -> reason ^ r_gtag, keyed by the reason string itself
+         (decisions hand out shared reason strings); at most
+         [tagged_max] entries *)
+}
+
 type t = {
   xen : Hypervisor.t;
   mgr : Vtpm_mgr.Manager.t;
@@ -59,6 +78,9 @@ type t = {
       (* None: migration streams carry no rollback counters (seed
          behavior); Some: v2 envelopes only, strictly-newer admission *)
   stats : stats;
+  routes : route Vtpm_util.Itbl.t; (* sender domid -> route *)
+  mutable routes_bindings : int; (* Binding.generation the routes were resolved at *)
+  mutable routes_placement : int; (* Manager.placement the routes were resolved at *)
 }
 
 let create ~(xen : Hypervisor.t) ~(mgr : Vtpm_mgr.Manager.t) ?(policy = Policy.default_improved)
@@ -95,6 +117,9 @@ let create ~(xen : Hypervisor.t) ~(mgr : Vtpm_mgr.Manager.t) ?(policy = Policy.d
         batched_requests = 0;
         transport_tampers = 0;
       };
+    routes = Vtpm_util.Itbl.create 64;
+    routes_bindings = -1;
+    routes_placement = -1;
   }
 
 let reset_cache t = Hashtbl.reset t.cache
@@ -105,6 +130,7 @@ let set_policy t policy =
      index. *)
   reset_cache t;
   Hashtbl.reset t.reasons;
+  Vtpm_util.Itbl.reset t.routes;
   t.index <- Policy.compile policy
 
 let set_cache_enabled t v =
@@ -300,11 +326,11 @@ let decide t ~(subject : Subject.t) ~(ordinal : int) ~(binding : Binding.binding
       in
       (d.Policy.verdict, reason)
 
-let audit_and_count t ~subject ~operation ~instance ~allowed ~reason =
+(* [name] is the subject's audit name ([Subject.to_string]). *)
+let audit_and_count t ~name ~operation ~instance ~allowed ~reason =
   let s = t.stats in
   if allowed then s.allowed <- s.allowed + 1 else s.denied <- s.denied + 1;
-  if t.audit_enabled then
-    Audit.append t.audit ~subject:(Subject.to_string subject) ~operation ~instance ~allowed ~reason
+  if t.audit_enabled then Audit.append t.audit ~subject:name ~operation ~instance ~allowed ~reason
 
 (* --- XenStore tamper detection ------------------------------------------
 
@@ -395,18 +421,62 @@ let group_suffix t vtpm_id =
 
 (* --- The wire-request router (installed into the vTPM backend) ----------- *)
 
+let tagged_max = 8
+
+let rec find_tagged r reason = function
+  | (k, v) :: rest -> if k == reason then v else find_tagged r reason rest
+  | [] ->
+      let v = reason ^ r.r_gtag in
+      if List.length r.r_tagged < tagged_max then r.r_tagged <- (reason, v) :: r.r_tagged;
+      v
+
+(* [reason ^ r.r_gtag], formatted once per route and reason. *)
+let tag r reason = if String.length r.r_gtag = 0 then reason else find_tagged r reason r.r_tagged
+
+(* The sender's route: reused while the binding table and the placement
+   are where they were when [routes] was filled, resolved afresh
+   otherwise; [None] for a sender with no binding. *)
+let route_of t sender =
+  let bindings = Binding.generation t.bindings and placement = Vtpm_mgr.Manager.placement t.mgr in
+  if t.routes_bindings <> bindings || t.routes_placement <> placement then begin
+    Vtpm_util.Itbl.reset t.routes;
+    t.routes_bindings <- bindings;
+    t.routes_placement <- placement
+  end;
+  match Vtpm_util.Itbl.find_opt t.routes sender with
+  | Some _ as found -> found
+  | None -> (
+      match Binding.lookup_domid t.bindings sender with
+      | None -> None
+      | Some b as bound ->
+          let subject = Subject.Guest sender in
+          let r =
+            {
+              r_binding = b;
+              r_bound = bound;
+              r_vtpm = Some b.Binding.vtpm_id;
+              r_subject = subject;
+              r_name = Subject.to_string subject;
+              r_instance = Vtpm_mgr.Manager.find t.mgr b.Binding.vtpm_id;
+              r_gtag = group_suffix t b.Binding.vtpm_id;
+              r_tagged = [];
+            }
+          in
+          Vtpm_util.Itbl.replace t.routes sender r;
+          Some r)
+
 let router t : Vtpm_mgr.Driver.router =
  fun ~sender ~claimed_instance ~wire ->
-  let subject = Subject.Guest sender in
-  match Binding.lookup_domid t.bindings sender with
+  match route_of t sender with
   | None ->
-      audit_and_count t ~subject ~operation:"unbound-request" ~instance:None ~allowed:false
-        ~reason:"no vTPM binding";
+      audit_and_count t ~name:(Subject.to_string (Subject.Guest sender))
+        ~operation:"unbound-request" ~instance:None ~allowed:false ~reason:"no vTPM binding";
       Error "no vTPM bound to requesting domain"
-  | Some b -> (
+  | Some r -> (
+      let b = r.r_binding and subject = r.r_subject and name = r.r_name in
       match Vtpm_tpm.Wire.peek_header wire with
       | None ->
-          audit_and_count t ~subject ~operation:"malformed" ~instance:(Some b.Binding.vtpm_id)
+          audit_and_count t ~name ~operation:"malformed" ~instance:r.r_vtpm
             ~allowed:false ~reason:"short frame";
           Error "malformed TPM request"
       | Some { Vtpm_tpm.Wire.ordinal; _ } -> (
@@ -414,24 +484,24 @@ let router t : Vtpm_mgr.Driver.router =
           (* A claimed id that disagrees with the binding is noise at best,
              an attack at worst; route by binding either way and log. *)
           let mismatch = claimed_instance <> b.Binding.vtpm_id in
-          let gtag = group_suffix t b.Binding.vtpm_id in
-          match decide t ~subject ~ordinal ~binding:(Some b) with
+          match decide t ~subject ~ordinal ~binding:r.r_bound with
           | Policy.Deny, reason ->
-              audit_and_count t ~subject ~operation:op_name ~instance:(Some b.Binding.vtpm_id)
-                ~allowed:false ~reason:(reason ^ gtag);
+              audit_and_count t ~name ~operation:op_name ~instance:r.r_vtpm
+                ~allowed:false ~reason:(tag r reason);
               Error (Printf.sprintf "policy denied %s (%s)" op_name reason)
           | Policy.Allow, _ when not (quota_ok t subject) ->
-              audit_and_count t ~subject ~operation:op_name ~instance:(Some b.Binding.vtpm_id)
-                ~allowed:false ~reason:("rate-limited" ^ gtag);
-              Error (Printf.sprintf "rate limit exceeded for %s" (Subject.to_string subject))
+              audit_and_count t ~name ~operation:op_name ~instance:r.r_vtpm
+                ~allowed:false ~reason:(tag r "rate-limited");
+              Error (Printf.sprintf "rate limit exceeded for %s" name)
           | Policy.Allow, _ when not (group_quota_ok t b.Binding.vtpm_id) ->
-              audit_and_count t ~subject ~operation:op_name ~instance:(Some b.Binding.vtpm_id)
-                ~allowed:false ~reason:("group-rate-limited" ^ gtag);
-              Error (Printf.sprintf "group rate limit exceeded for %s" (Subject.to_string subject))
+              audit_and_count t ~name ~operation:op_name ~instance:r.r_vtpm
+                ~allowed:false ~reason:(tag r "group-rate-limited");
+              Error (Printf.sprintf "group rate limit exceeded for %s" name)
           | Policy.Allow, reason -> (
-              let reason = if mismatch then reason ^ ";claimed-id-mismatch" else reason in
-              let reason = reason ^ gtag in
-              audit_and_count t ~subject ~operation:op_name ~instance:(Some b.Binding.vtpm_id)
+              let reason =
+                if mismatch then reason ^ ";claimed-id-mismatch" ^ r.r_gtag else tag r reason
+              in
+              audit_and_count t ~name ~operation:op_name ~instance:r.r_vtpm
                 ~allowed:true ~reason;
               match t.supervisor with
               | Some sup -> (
@@ -439,7 +509,7 @@ let router t : Vtpm_mgr.Driver.router =
                   | Ok resp -> Ok resp
                   | Error e -> Error (Vtpm_util.Verror.to_string e))
               | None -> (
-                  match Vtpm_mgr.Manager.find t.mgr b.Binding.vtpm_id with
+                  match r.r_instance with
                   | Error e -> Error (Vtpm_util.Verror.to_string e)
                   | Ok inst -> (
                       match Vtpm_mgr.Manager.execute_wire t.mgr inst ~wire with
@@ -483,9 +553,10 @@ let register_process t ~process ~token = Subject.Credentials.register t.credenti
 let management t ~(process : string) ~(token : string) (op : management_op) :
     (management_result, string) result =
   let subject = Subject.Dom0_process process in
+  let name = Subject.to_string subject in
   let op_name = management_op_name op in
   if not (Subject.Credentials.verify t.credentials ~process ~token) then begin
-    audit_and_count t ~subject ~operation:op_name ~instance:None ~allowed:false
+    audit_and_count t ~name ~operation:op_name ~instance:None ~allowed:false
       ~reason:"bad credential";
     Error "management credential rejected"
   end
@@ -494,10 +565,10 @@ let management t ~(process : string) ~(token : string) (op : management_op) :
     let ordinal = Vtpm_tpm.Types.ord_save_state in
     match decide t ~subject ~ordinal ~binding:None with
     | Policy.Deny, reason ->
-        audit_and_count t ~subject ~operation:op_name ~instance:None ~allowed:false ~reason;
+        audit_and_count t ~name ~operation:op_name ~instance:None ~allowed:false ~reason;
         Error (Printf.sprintf "policy denied %s (%s)" op_name reason)
     | Policy.Allow, reason -> (
-        audit_and_count t ~subject ~operation:op_name ~instance:None ~allowed:true ~reason;
+        audit_and_count t ~name ~operation:op_name ~instance:None ~allowed:true ~reason;
         match op with
         | Save_instance { vtpm_id } -> (
             match Vtpm_mgr.Manager.find t.mgr vtpm_id with
@@ -523,7 +594,7 @@ let management t ~(process : string) ~(token : string) (op : management_op) :
                     ~mode:Vtpm_mgr.Migration.Protected ~dest_key
                 with
                 | Error e ->
-                    audit_and_count t ~subject ~operation:op_name ~instance:(Some vtpm_id)
+                    audit_and_count t ~name ~operation:op_name ~instance:(Some vtpm_id)
                       ~allowed:false ~reason:("export-rejected: " ^ e);
                     Error e
                 | Ok stream ->
@@ -539,14 +610,14 @@ let management t ~(process : string) ~(token : string) (op : management_op) :
                 (* A refused stream (MAC, downgrade, stale counter) is an
                    attack surface event, not a mere failure: audit it as a
                    denial so rollback/replay attempts leave evidence. *)
-                audit_and_count t ~subject ~operation:op_name ~instance:None ~allowed:false
+                audit_and_count t ~name ~operation:op_name ~instance:None ~allowed:false
                   ~reason:("import-rejected: " ^ e);
                 Error e)
         | Migrate_receive { stream } -> (
             match Vtpm_mgr.Migration.receive t.mgr ?fresh:t.freshness stream with
             | Ok i -> Ok (M_instance i.Vtpm_mgr.Manager.vtpm_id)
             | Error e ->
-                audit_and_count t ~subject ~operation:op_name ~instance:None ~allowed:false
+                audit_and_count t ~name ~operation:op_name ~instance:None ~allowed:false
                   ~reason:("import-rejected: " ^ e);
                 Error e)
         | Migrate_activate { vtpm_id } -> (

@@ -33,6 +33,11 @@ type stats = {
       (** ring/grant integrity violations detected by the driver *)
 }
 
+type route
+(** A sender's resolved binding, subject, audit name, bound instance and
+    group audit tag, kept while the binding table and the manager's
+    placement are unchanged. *)
+
 type t = {
   xen : Vtpm_xen.Hypervisor.t;
   mgr : Vtpm_mgr.Manager.t;
@@ -52,6 +57,12 @@ type t = {
   mutable supervisor : Vtpm_mgr.Supervisor.t option;
   mutable freshness : Vtpm_mgr.Freshness.t option;
   stats : stats;
+  routes : route Vtpm_util.Itbl.t;
+      (** sender domid -> route; emptied whenever {!Binding.generation} or
+          {!Vtpm_mgr.Manager.placement} has moved since it was filled, and
+          on {!set_policy} *)
+  mutable routes_bindings : int;
+  mutable routes_placement : int;
 }
 
 val create :

@@ -59,6 +59,11 @@ let with_redirect t sink f =
   t.sink <- Some sink;
   Fun.protect ~finally:(fun () -> t.sink <- old) f
 
+let swap_sink t s =
+  let old = t.sink in
+  t.sink <- s;
+  old
+
 (* Parallel-time accounting: a pool of execution lanes sharing one meter.
 
    Each lane keeps its own [busy_until_us] clock. Executing a command of
@@ -89,7 +94,7 @@ module Lanes = struct
     placement : placement;
     (* [Least_loaded] pins each key to its home lane so a burst from one
        instance stays serial; stays empty under [Fixed_hash]. *)
-    homes : (int, int) Hashtbl.t;
+    homes : int Itbl.t;
   }
 
   let create ?(placement = Fixed_hash) n =
@@ -97,7 +102,7 @@ module Lanes = struct
     {
       lanes = Array.init n (fun _ -> { busy_until_us = 0.0; busy_us = 0.0; executed = 0 });
       placement;
-      homes = Hashtbl.create 16;
+      homes = Itbl.create 16;
     }
 
   let count p = Array.length p.lanes
@@ -117,7 +122,7 @@ module Lanes = struct
     match p.placement with
     | Fixed_hash -> hashed p ~key
     | Least_loaded -> (
-        match Hashtbl.find_opt p.homes key with Some i -> i | None -> idlest p)
+        match Itbl.find_opt p.homes key with Some i -> i | None -> idlest p)
 
   let earliest_free p =
     Array.fold_left (fun acc l -> Float.min acc l.busy_until_us) infinity p.lanes
@@ -134,11 +139,11 @@ module Lanes = struct
       match p.placement with
       | Fixed_hash -> hashed p ~key
       | Least_loaded -> (
-          match Hashtbl.find_opt p.homes key with
+          match Itbl.find_opt p.homes key with
           | Some i -> i
           | None ->
               let i = idlest p in
-              Hashtbl.replace p.homes key i;
+              Itbl.replace p.homes key i;
               i)
     in
     let l = p.lanes.(i) in

@@ -35,6 +35,12 @@ val with_redirect : t -> (float -> unit) -> (unit -> 'a) -> 'a
     [sink] instead of advancing the meter — used to re-home a block of
     work onto one execution lane. [advance_to] is unaffected. *)
 
+val swap_sink : t -> (float -> unit) option -> (float -> unit) option
+(** [swap_sink t s] installs [s] as the redirect sink and returns the one
+    it replaced: {!with_redirect} for a per-request path that keeps its
+    sink and must not allocate. The caller restores the returned sink,
+    also when the block raises. *)
+
 (** Parallel-time accounting: a pool of execution lanes sharing one
     meter. Executing a command on a lane starts at [max now busy_until],
     finishes [cost] later, and advances the shared meter to the earliest

@@ -48,7 +48,22 @@ type connection = {
          decreasing [order], so the kicked pump can visit listed rings in
          the sweep's order without walking the list *)
   mutable listed : bool; (* on the backend's work list *)
+  (* Per-request state resolved at connect, so the request path builds no
+     path string and runs no (domid, port) or (owner, gref) lookup: *)
+  inst_path : Xenstore.cursor; (* the frontend's [instance] node *)
+  mutable fe_chan : Evtchn.channel;
+  mutable be_chan : Evtchn.channel;
+  mutable ring_grant : Gnttab.grant;
+  mutable lane : (float -> unit) option;
+      (* the backend's lane sink resolved for this frontend, valid while
+         [lane_at] and [lane_epoch] match the backend's *)
+  mutable lane_at : int;
+  mutable lane_epoch : int;
+  tally : tally; (* accumulates the exchange's charges for [lane] *)
+  tally_sink : (float -> unit) option; (* [tally] as a meter sink *)
 }
+
+and tally = { mutable spent : float }
 
 (* Routing decision + execution, supplied by the access-control layer. *)
 type router =
@@ -134,7 +149,11 @@ type backend = {
          serving frontend, the whole exchange (ring trip, XenStore reads,
          backoffs) charges the sink instead of the global meter — modeling
          a per-shard frontend whose transport work runs on its replica.
-         The default (fun _ -> None) keeps charges byte-identical. *)
+         The default (fun _ -> None) keeps charges byte-identical. A
+         connection keeps its resolved sink while [lane_stamp ()] and
+         [lane_epoch] are unchanged. *)
+  mutable lane_stamp : unit -> int;
+  mutable lane_epoch : int; (* bumped by every [set_lane_sink] *)
 }
 
 let vtpm_fe_path fe = Printf.sprintf "/local/domain/%d/device/vtpm/0" fe
@@ -169,6 +188,8 @@ let create_backend ?resilience ~xen ~be_domid ~router () =
     next_order = 0;
     swept_version = -1;
     lane_sink = (fun _ -> None);
+    lane_stamp = (fun () -> 0);
+    lane_epoch = 0;
   }
 
 (* Validation changes what a visit checks, so the next kick sweeps: a
@@ -180,21 +201,19 @@ let validate_transport (backend : backend) = backend.validate_transport
 let set_on_transport_tamper (backend : backend) f = backend.on_transport_tamper <- f
 let transport_tamper_count (backend : backend) = backend.transport_tampers
 
-(* The mapping side's integrity view of a connection's ring grant: still
-   present, unrevoked, and backing the frame recorded at the handshake.
-   Pure table lookups — no simulated-time charge, so enabling validation
-   leaves every legitimate timing bit-identical. *)
-let transport_ok (backend : backend) (conn : connection) : (unit, string) result =
-  match Hypervisor.grant_backing backend.xen ~owner:conn.fe_domid ~gref:conn.gref with
-  | None -> Error "ring grant vanished"
-  | Some (frame, in_use, revoked) ->
-      if revoked then Error "ring grant revoked mid-request"
-      else if frame <> conn.ring_frame then
-        Error
-          (Printf.sprintf "ring grant remapped: backing frame %d, expected %d" frame
-             conn.ring_frame)
-      else if not in_use then Error "ring grant no longer mapped by backend"
-      else Ok ()
+(* The mapping side's integrity view of a connection's ring grant:
+   unrevoked, still mapped, and backing the frame recorded at the
+   handshake. Reads of the held grant record — no simulated-time charge,
+   so enabling validation leaves every legitimate timing bit-identical. *)
+let transport_ok (conn : connection) : (unit, string) result =
+  let g = conn.ring_grant in
+  if Gnttab.revoked g then Error "ring grant revoked mid-request"
+  else if Gnttab.frame g <> conn.ring_frame then
+    Error
+      (Printf.sprintf "ring grant remapped: backing frame %d, expected %d" (Gnttab.frame g)
+         conn.ring_frame)
+  else if not (Gnttab.mapped g) then Error "ring grant no longer mapped by backend"
+  else Ok ()
 
 let transport_tamper (backend : backend) (conn : connection) reason =
   backend.transport_tampers <- backend.transport_tampers + 1;
@@ -249,13 +268,25 @@ let add_connection (backend : backend) (conn : connection) =
   backend.next_order <- backend.next_order + 1;
   backend.connections <- conn :: backend.connections
 
+(* What a handshake establishes: the ring, its grant and the event-channel
+   pair, by number and as held records. *)
+type link = {
+  l_ring : Ring.t;
+  l_fe_port : Evtchn.port;
+  l_be_port : Evtchn.port;
+  l_fe_chan : Evtchn.channel;
+  l_be_chan : Evtchn.channel;
+  l_gref : Gnttab.gref;
+  l_grant : Gnttab.grant;
+  l_frame : int;
+}
+
 (* Shared grant/evtchn/XenStore plumbing for connect and reconnect: grant
    the ring frame, bind a fresh event-channel pair, have the backend map
    the grant, publish ring-ref/event-channel. XenStore publication is
    best-effort under injected transients — the recorded connection state,
    not the store, is authoritative for an established link. *)
-let establish (backend : backend) ~(fe_domid : Domain.domid) :
-    (Ring.t * Evtchn.port * Evtchn.port * Gnttab.gref * int, string) result =
+let establish (backend : backend) ~(fe_domid : Domain.domid) : (link, string) result =
   let xen = backend.xen in
   let base = vtpm_fe_path fe_domid in
   let ring_frame = 100 + fe_domid in
@@ -276,7 +307,19 @@ let establish (backend : backend) ~(fe_domid : Domain.domid) :
       ignore
         (Hypervisor.xs_write xen ~caller:fe_domid (base ^ "/event-channel")
            (string_of_int fe_port));
-      Ok (ring, fe_port, be_port, gref, ring_frame)
+      (* Just bound and granted: both lookups succeed. *)
+      let chan domid port = Option.get (Evtchn.find xen.Hypervisor.evtchn ~domid ~port) in
+      Ok
+        {
+          l_ring = ring;
+          l_fe_port = fe_port;
+          l_be_port = be_port;
+          l_fe_chan = chan fe_domid fe_port;
+          l_be_chan = chan backend.be_domid be_port;
+          l_gref = gref;
+          l_grant = Option.get (Gnttab.lookup xen.Hypervisor.gnttab ~owner:fe_domid ~gref);
+          l_frame = ring_frame;
+        }
 
 (* Frontend step: allocate the ring, grant it, bind the event channel and
    publish the connection details. Returns the live connection and
@@ -294,23 +337,33 @@ let connect (backend : backend) ~(fe_domid : Domain.domid) : (connection, string
           else
             match establish backend ~fe_domid with
             | Error e -> Error e
-            | Ok (ring, fe_port, be_port, gref, ring_frame) ->
+            | Ok l ->
+                let tally = { spent = 0.0 } in
                 let conn =
                   {
-                    ring;
+                    ring = l.l_ring;
                     fe_domid;
                     be_domid;
-                    fe_port;
-                    be_port;
-                    gref;
-                    ring_frame;
+                    fe_port = l.l_fe_port;
+                    be_port = l.l_be_port;
+                    gref = l.l_gref;
+                    ring_frame = l.l_frame;
                     connected = true;
                     reconnects = 0;
                     order = 0;
                     listed = false;
+                    inst_path = Xenstore.cursor (base ^ "/instance");
+                    fe_chan = l.l_fe_chan;
+                    be_chan = l.l_be_chan;
+                    ring_grant = l.l_grant;
+                    lane = None;
+                    lane_at = -1;
+                    lane_epoch = -1;
+                    tally;
+                    tally_sink = Some (fun us -> tally.spent <- tally.spent +. us);
                   }
                 in
-                attach_ring backend conn ring;
+                attach_ring backend conn l.l_ring;
                 add_connection backend conn;
                 Ok conn)
 
@@ -328,12 +381,15 @@ let reconnect (backend : backend) (conn : connection) : (unit, string) result =
       (Hypervisor.unmap_grant xen ~caller:conn.be_domid ~owner:conn.fe_domid ~gref:conn.gref);
     match establish backend ~fe_domid:conn.fe_domid with
     | Error e -> Error e
-    | Ok (ring, fe_port, be_port, gref, ring_frame) ->
-        attach_ring backend conn ring;
-        conn.fe_port <- fe_port;
-        conn.be_port <- be_port;
-        conn.gref <- gref;
-        conn.ring_frame <- ring_frame;
+    | Ok l ->
+        attach_ring backend conn l.l_ring;
+        conn.fe_port <- l.l_fe_port;
+        conn.be_port <- l.l_be_port;
+        conn.fe_chan <- l.l_fe_chan;
+        conn.be_chan <- l.l_be_chan;
+        conn.gref <- l.l_gref;
+        conn.ring_grant <- l.l_grant;
+        conn.ring_frame <- l.l_frame;
         conn.connected <- true;
         conn.reconnects <- conn.reconnects + 1;
         if not (List.memq conn backend.connections) then add_connection backend conn;
@@ -385,6 +441,58 @@ let restart_backend (backend : backend) =
     backend.on_restart ()
   end
 
+(* Validated pop when hardening is on: an index/queue divergence is
+   audited once, the indices re-derived from the genuine frames, and the
+   drain continues — the victim's real requests still get served. *)
+let pop (backend : backend) (conn : connection) =
+  if not backend.validate_transport then Ring.pop_request conn.ring
+  else
+    match Ring.pop_request_validated conn.ring with
+    | Ok s -> s
+    | Error reason -> (
+        transport_tamper backend conn reason;
+        Ring.sanitize_indices conn.ring;
+        match Ring.pop_request_validated conn.ring with
+        | Ok s -> s
+        | Error _ -> None)
+
+let rec drain (backend : backend) (conn : connection) faults ~processed =
+  match pop backend conn with
+  | None -> ()
+  | Some { Ring.id; payload; pusher } ->
+      if Faults.fire faults Faults.Manager_crash then begin
+        crash_backend backend;
+        raise Exit
+      end;
+      let sender = Ring.frontend conn.ring in
+      if backend.validate_transport && pusher <> sender then begin
+        (* Injected frame: the page says someone other than the ring's
+           frontend wrote it. Refuse to route it (a Denied response fills
+           the slot so the id cannot be replayed) and keep draining
+           genuine frames. *)
+        transport_tamper backend conn (Printf.sprintf "injected ring frame from domain %d" pusher);
+        ignore
+          (Ring.push_response conn.ring ~id
+             (Proto.encode_response Proto.Denied "injected ring frame rejected"));
+        drain backend conn faults ~processed
+      end
+      else begin
+        incr processed;
+        let payload = Faults.maybe_mutate faults payload in
+        let reply =
+          match Proto.decode_request payload with
+          | Error m -> Proto.encode_response Proto.Bad_frame m
+          | Ok (claimed_instance, wire) -> (
+              match backend.router ~sender ~claimed_instance ~wire with
+              | Ok resp_wire -> Proto.encode_response Proto.Ok_routed resp_wire
+              | Error reason -> Proto.encode_response Proto.Denied reason)
+        in
+        (match Ring.push_response conn.ring ~id reply with
+        | Ok () -> ignore (Hypervisor.notify_on backend.xen conn.be_chan)
+        | Error _ -> () (* response ring full: drop, frontend times out *));
+        drain backend conn faults ~processed
+      end
+
 (* Backend pump: drain connected rings, route, respond. The sender
    identity passed to the router is the ring's frontend — recorded by the
    hypervisor-mediated connect, unforgeable from inside the frame.
@@ -404,91 +512,34 @@ let restart_backend (backend : backend) =
    nothing, so it draws no fault, routes nothing and audits nothing:
    skipping it leaves the result identical. *)
 let visit (backend : backend) (conn : connection) ~processed =
-  let faults = backend.xen.Hypervisor.faults in
   backend.ring_visits <- backend.ring_visits + 1;
-  (* Grant-level integrity first: a remapped, revoked or vanished ring
-     grant means every frame on the page is suspect — tear the link (a
-     resilient frontend reconnects with a fresh grant; the in-flight
-     request fails with an audited denial). *)
+  (* Grant-level integrity first: a remapped or revoked ring grant means
+     every frame on the page is suspect — tear the link (a resilient
+     frontend reconnects with a fresh grant; the in-flight request fails
+     with an audited denial). *)
   let grant_ok =
     (not backend.validate_transport)
     ||
-    match transport_ok backend conn with
+    match transport_ok conn with
     | Ok () -> true
     | Error reason ->
         transport_tamper backend conn reason;
         conn.connected <- false;
         false
   in
-  if grant_ok then begin
-    (* Validated pop when hardening is on: an index/queue divergence is
-       audited once, the indices re-derived from the genuine frames, and
-       the drain continues — the victim's real requests still get
-       served. *)
-    let pop () =
-      if not backend.validate_transport then Ring.pop_request conn.ring
-      else
-        match Ring.pop_request_validated conn.ring with
-        | Ok s -> s
-        | Error reason -> (
-            transport_tamper backend conn reason;
-            Ring.sanitize_indices conn.ring;
-            match Ring.pop_request_validated conn.ring with
-            | Ok s -> s
-            | Error _ -> None)
-    in
-    let rec drain () =
-      match pop () with
-      | None -> ()
-      | Some { Ring.id; payload; pusher } ->
-          if Faults.fire faults Faults.Manager_crash then begin
-            crash_backend backend;
-            raise Exit
-          end;
-          let sender = Ring.frontend conn.ring in
-          if backend.validate_transport && pusher <> sender then begin
-            (* Injected frame: the page says someone other than the
-               ring's frontend wrote it. Refuse to route it (a Denied
-               response fills the slot so the id cannot be replayed)
-               and keep draining genuine frames. *)
-            transport_tamper backend conn
-              (Printf.sprintf "injected ring frame from domain %d" pusher);
-            ignore
-              (Ring.push_response conn.ring ~id
-                 (Proto.encode_response Proto.Denied "injected ring frame rejected"));
-            drain ()
-          end
-          else begin
-            incr processed;
-            let payload = Faults.maybe_mutate faults payload in
-            let reply =
-              match Proto.decode_request payload with
-              | Error m -> Proto.encode_response Proto.Bad_frame m
-              | Ok (claimed_instance, wire) -> (
-                  match backend.router ~sender ~claimed_instance ~wire with
-                  | Ok resp_wire -> Proto.encode_response Proto.Ok_routed resp_wire
-                  | Error reason -> Proto.encode_response Proto.Denied reason)
-            in
-            (match Ring.push_response conn.ring ~id reply with
-            | Ok () ->
-                ignore (Hypervisor.notify backend.xen ~domid:conn.be_domid ~port:conn.be_port)
-            | Error _ -> () (* response ring full: drop, frontend times out *));
-            drain ()
-          end
-    in
-    drain ()
-  end
+  if grant_ok then drain backend conn backend.xen.Hypervisor.faults ~processed
 
 (* Drop the connections whose ring is idle from the work list. A ring
    only becomes busy again through a producer write, which re-lists it,
    so every ring with unconsumed requests stays listed. *)
-let prune (backend : backend) =
-  backend.work <-
-    List.filter
-      (fun c ->
-        c.listed <- Ring.has_unconsumed_requests c.ring;
-        c.listed)
-      backend.work
+let rec still_busy = function
+  | [] -> []
+  | c :: rest as l ->
+      let rest' = still_busy rest in
+      c.listed <- Ring.has_unconsumed_requests c.ring;
+      if not c.listed then rest' else if rest' == rest then l else c :: rest'
+
+let prune (backend : backend) = backend.work <- still_busy backend.work
 
 (* One ring in a pass: skipped unless it is connected and, when the pass
    is not visiting every ring, it has unconsumed requests. *)
@@ -519,31 +570,30 @@ let rec walk (backend : backend) ~all ~processed = function
    so that a ring listed during an earlier visit is still found. Once a
    visit moves the grant version, the rest of the connection list is
    walked in full, exactly as the sweep-order walk would. *)
-let serve_listed (backend : backend) ~processed =
-  let next bound =
-    List.fold_left
-      (fun best c ->
+let rec latest_below bound (best : connection option) = function
+  | [] -> best
+  | c :: rest ->
+      let best =
         if c.order < bound && match best with None -> true | Some b -> c.order > b.order then
           Some c
-        else best)
-      None backend.work
-  in
-  let rec pass bound =
-    match next bound with
-    | None -> ()
-    | Some conn ->
-        if examine backend conn ~all:false ~processed && version_moved backend then
-          walk backend ~all:true ~processed
-            (List.filter (fun c -> c.order < conn.order) backend.connections)
-        else pass conn.order
-  in
-  pass max_int
+        else best
+      in
+      latest_below bound best rest
+
+let rec serve_listed (backend : backend) ~processed bound =
+  match latest_below bound None backend.work with
+  | None -> ()
+  | Some conn ->
+      if examine backend conn ~all:false ~processed && version_moved backend then
+        walk backend ~all:true ~processed
+          (List.filter (fun c -> c.order < conn.order) backend.connections)
+      else serve_listed backend ~processed conn.order
 
 let serve (backend : backend) ~sweep : int =
   let processed = ref 0 in
   (try
      if sweep then walk backend ~all:true ~processed backend.connections
-     else serve_listed backend ~processed
+     else serve_listed backend ~processed max_int
    with Exit -> ());
   prune backend;
   !processed
@@ -576,9 +626,7 @@ type outcome = {
    attempts) are discarded. *)
 let check_response (backend : backend) (conn : connection) ~id ~gated =
   let xen = backend.xen in
-  let kicked =
-    Evtchn.poll xen.Hypervisor.evtchn ~domid:conn.fe_domid ~port:conn.fe_port <> None
-  in
+  let kicked = Evtchn.take conn.fe_chan in
   if gated && not kicked then `No_response
   else begin
     let rec scan () =
@@ -609,17 +657,15 @@ let send_attempt (backend : backend) (conn : connection) ~frame ~prev =
   match id_r with
   | Error e -> Error e
   | Ok id ->
-      ignore (Hypervisor.notify xen ~domid:conn.fe_domid ~port:conn.fe_port);
-      let kicked =
-        Evtchn.poll xen.Hypervisor.evtchn ~domid:conn.be_domid ~port:conn.be_port <> None
-      in
-      if kicked then ignore (process_kicked backend);
+      ignore (Hypervisor.notify_on xen conn.fe_chan);
+      if Evtchn.take conn.be_chan then ignore (process_kicked backend);
       Ok id
 
+(* The frontend's live read of its [instance] node, through the cursor
+   resolved at connect: charged and fault-drawn like any XenStore read,
+   and a rewritten, removed or re-permissioned node is seen at once. *)
 let read_claimed_instance (backend : backend) (conn : connection) =
-  let xen = backend.xen in
-  let base = vtpm_fe_path conn.fe_domid in
-  match Hypervisor.xs_read xen ~caller:conn.fe_domid (base ^ "/instance") with
+  match Hypervisor.xs_read_at backend.xen ~caller:conn.fe_domid conn.inst_path with
   | Error e -> Error ("cannot read instance: " ^ Xenstore.error_name e)
   | Ok inst_str -> (
       match int_of_string_opt inst_str with
@@ -726,52 +772,73 @@ let request_resilient (backend : backend) (conn : connection) ~wire ~(r : resili
   in
   go ~attempt:1 ~prev:None
 
-(* [ring_charge] is the transport cost of reaching the backend: a full
-   round trip for a standalone request or the first of a batch, the
-   amortised slot cost for the rest of a drained batch. *)
-let set_lane_sink (backend : backend) f = backend.lane_sink <- f
+let set_lane_sink (backend : backend) ~stamp f =
+  backend.lane_sink <- f;
+  backend.lane_stamp <- stamp;
+  backend.lane_epoch <- backend.lane_epoch + 1
+
+(* The connection's lane sink, resolved again only when the backend's
+   stamp or sink has changed since it was last resolved. *)
+let lane_of (backend : backend) (conn : connection) =
+  let at = backend.lane_stamp () in
+  if conn.lane_at <> at || conn.lane_epoch <> backend.lane_epoch then begin
+    conn.lane <- backend.lane_sink conn.fe_domid;
+    conn.lane_at <- at;
+    conn.lane_epoch <- backend.lane_epoch
+  end;
+  conn.lane
+
+(* The exchange proper: transport charge plus the fail-fast or resilient
+   protocol. [ring_charge] is the transport cost of reaching the backend:
+   a full round trip for a standalone request or the first of a batch,
+   the amortised slot cost for the rest of a drained batch. *)
+let exchange (backend : backend) (conn : connection) ~wire ~ring_charge =
+  Vtpm_util.Cost.charge backend.xen.Hypervisor.cost ring_charge;
+  match backend.resilience with
+  | None -> request_failfast backend conn ~wire
+  | Some r -> request_resilient backend conn ~wire ~r
+
+(* When the connection's lane sink is set, the whole serial residue of the
+   exchange (ring trip, XenStore reads, monitor and audit work —
+   everything that goes through [Cost.charge]) is re-homed onto the
+   frontend's lane instead of the global meter: each shard replica runs
+   its own frontend, so one shard's transport work does not serialize
+   every other shard. Lane executions themselves ([Lanes.exec]) are
+   untouched. *)
+let lane_exchange (backend : backend) (conn : connection) ~wire ~ring_charge =
+  match lane_of backend conn with
+  | None -> exchange backend conn ~wire ~ring_charge
+  | Some sink ->
+      let cost = backend.xen.Hypervisor.cost in
+      conn.tally.spent <- 0.0;
+      let outer = Vtpm_util.Cost.swap_sink cost conn.tally_sink in
+      let result =
+        match exchange backend conn ~wire ~ring_charge with
+        | r ->
+            ignore (Vtpm_util.Cost.swap_sink cost outer);
+            r
+        | exception e ->
+            ignore (Vtpm_util.Cost.swap_sink cost outer);
+            raise e
+      in
+      if conn.tally.spent > 0.0 then sink conn.tally.spent;
+      result
 
 let request_charged (backend : backend) (conn : connection) ~(wire : string) ~ring_charge :
     (outcome, Vtpm_util.Verror.t) result =
-  let cost = backend.xen.Hypervisor.cost in
-  (* The exchange proper: transport charge plus the fail-fast or resilient
-     protocol. When [lane_sink] yields a sink for this frontend, the whole
-     serial residue of the exchange (ring trip, XenStore reads, monitor
-     and audit work — everything that goes through [Cost.charge]) is
-     re-homed onto the frontend's lane instead of the global meter: each
-     shard replica runs its own frontend, so one shard's transport work
-     does not serialize every other shard. Lane executions themselves
-     ([Lanes.exec]) are untouched. *)
-  let exchange () =
-    Vtpm_util.Cost.charge cost ring_charge;
-    match backend.resilience with
-    | None -> request_failfast backend conn ~wire
-    | Some r -> request_resilient backend conn ~wire ~r
-  in
-  let exchange () =
-    match backend.lane_sink conn.fe_domid with
-    | None -> exchange ()
-    | Some sink ->
-        let spent = ref 0.0 in
-        let result =
-          Vtpm_util.Cost.with_redirect cost (fun us -> spent := !spent +. us) exchange
-        in
-        if !spent > 0.0 then sink !spent;
-        result
-  in
   (* Transport guard before the exchange: a tampered ring grant fails the
      in-flight operation with an audited denial rather than running the
      request over an adversary-controlled page. The link is torn; a
      resilient frontend's next request reconnects with a fresh grant. *)
   if backend.validate_transport && conn.connected then begin
-    match transport_ok backend conn with
-    | Ok () -> exchange ()
+    match transport_ok conn with
+    | Ok () -> lane_exchange backend conn ~wire ~ring_charge
     | Error reason ->
         transport_tamper backend conn reason;
         conn.connected <- false;
         Vtpm_util.Verror.denied "transport integrity: %s" reason
   end
-  else exchange ()
+  else lane_exchange backend conn ~wire ~ring_charge
 
 let request_with_info (backend : backend) (conn : connection) ~(wire : string) :
     (outcome, Vtpm_util.Verror.t) result =

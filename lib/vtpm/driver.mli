@@ -31,7 +31,26 @@ type connection = {
   mutable listed : bool;
       (** on the backend's work list; every connection whose ring has
           unconsumed requests is *)
+  inst_path : Vtpm_xen.Xenstore.cursor;
+      (** the frontend's [instance] node, resolved at connect and walked
+          again only when the store generation moves *)
+  mutable fe_chan : Vtpm_xen.Evtchn.channel;  (** endpoint at [fe_port] *)
+  mutable be_chan : Vtpm_xen.Evtchn.channel;  (** endpoint at [be_port] *)
+  mutable ring_grant : Vtpm_xen.Gnttab.grant;  (** the grant at [gref] *)
+  mutable lane : (float -> unit) option;
+      (** the backend's lane sink resolved for this frontend; resolved
+          again when the backend's stamp or sink changes *)
+  mutable lane_at : int;
+  mutable lane_epoch : int;
+  tally : tally;  (** the current exchange's charges, bound for [lane] *)
+  tally_sink : (float -> unit) option;  (** [tally] as a meter sink *)
 }
+(** The per-request state (XenStore cursor, channel and grant records,
+    lane sink) is resolved at connect and on a reconnect; the request
+    path builds no path string and runs no (domid, port) or
+    (owner, gref) lookup. *)
+
+and tally = { mutable spent : float }
 
 type router =
   sender:Vtpm_xen.Domain.domid -> claimed_instance:int -> wire:string -> (string, string) result
@@ -112,6 +131,10 @@ type backend = {
           the serving frontend, the exchange's serial residue (ring
           trip, XenStore reads, monitor/audit work) charges the sink
           instead of the global meter — see {!set_lane_sink} *)
+  mutable lane_stamp : unit -> int;
+      (** a connection's resolved sink stays valid while this reads the
+          value it read at resolution *)
+  mutable lane_epoch : int;  (** bumped by every {!set_lane_sink} *)
 }
 
 val vtpm_fe_path : Vtpm_xen.Domain.domid -> string
@@ -123,7 +146,7 @@ val create_backend :
 val set_validate_transport : backend -> bool -> unit
 (** Enable/disable transport-integrity validation. Off by default — the
     trusting 2006 backend; legitimate traffic is bit-identical either way
-    (the checks are pure table lookups, charging no simulated time). The
+    (the checks read the held grant record, charging no simulated time). The
     next kicked pump is a full sweep, so grants changed while validation
     was off are checked. *)
 
@@ -136,7 +159,8 @@ val set_on_transport_tamper : backend -> (Vtpm_xen.Domain.domid -> string -> uni
 
 val transport_tamper_count : backend -> int
 
-val set_lane_sink : backend -> (Vtpm_xen.Domain.domid -> (float -> unit) option) -> unit
+val set_lane_sink :
+  backend -> stamp:(unit -> int) -> (Vtpm_xen.Domain.domid -> (float -> unit) option) -> unit
 (** Install the per-frontend residue sink used by sharded hosts: every
     charge the exchange makes through [Cost.charge] (ring round trip,
     XenStore reads, monitor and audit bookkeeping) accumulates and lands
@@ -144,7 +168,12 @@ val set_lane_sink : backend -> (Vtpm_xen.Domain.domid -> (float -> unit) option)
     of serializing on the global meter, modeling one frontend replica
     per shard. Lane executions ({!Vtpm_util.Cost.Lanes.exec}) are
     unaffected. The default [(fun _ -> None)] keeps every charge
-    byte-identical to the seed. *)
+    byte-identical to the seed.
+
+    Each connection resolves its sink once and keeps it while [stamp ()]
+    reads the same value; the sharded host passes the manager's placement
+    generation, so a re-placed or re-bound instance is resolved again on
+    its next request. *)
 
 val publish_device :
   xen:Vtpm_xen.Hypervisor.t -> fe:Vtpm_xen.Domain.domid -> be:Vtpm_xen.Domain.domid ->

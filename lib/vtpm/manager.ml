@@ -43,6 +43,11 @@ type t = {
          (the default) keeps the transport byte-identical to the seed *)
   mutable hw_ops : int; (* hardware round trips attempted *)
   mutable hw_power_cycles : int;
+  mutable placement : int;
+      (* placement generation: bumped by every change to the instance
+         table, the domid index, a group assignment, the registry or the
+         manager-wide pool — whatever [route_for_domid], [find] and
+         [pool_for_id] answer from *)
 }
 
 (* PCR the manager's own measurement lives in on the hardware TPM; sealed
@@ -82,7 +87,11 @@ let create ?(rsa_bits = 512) ~seed ~(cost : Vtpm_util.Cost.t) () =
     hw_faults = None;
     hw_ops = 0;
     hw_power_cycles = 0;
+    placement = 0;
   }
+
+let placement t = t.placement
+let moved t = t.placement <- t.placement + 1
 
 (* --- Execution lanes and shard routing ------------------------------------ *)
 
@@ -106,7 +115,8 @@ let pool_for_id t vtpm_id =
    dispatched stays paid for (the fresh lanes then start from [now]). *)
 let set_lanes ?placement t n =
   Vtpm_util.Cost.Lanes.sync t.lanes t.cost;
-  t.lanes <- Vtpm_util.Cost.Lanes.create ?placement n
+  t.lanes <- Vtpm_util.Cost.Lanes.create ?placement n;
+  moved t
 
 let lane_count t = Vtpm_util.Cost.Lanes.count t.lanes
 let lane_of t ~vtpm_id = Vtpm_util.Cost.Lanes.lane_for (pool_for_id t vtpm_id) ~key:vtpm_id
@@ -138,9 +148,20 @@ let lane_stats t =
 let charge_lane t ~vtpm_id us =
   ignore (Vtpm_util.Cost.Lanes.exec (pool_for_id t vtpm_id) t.cost ~key:vtpm_id us)
 
+(* [charge_lane] for one instance with its pool resolved now: while the
+   placement generation is unchanged the pool is reused, otherwise it is
+   resolved again, so every charge lands where [charge_lane] puts it. *)
+let lane_charger t ~vtpm_id =
+  let at = t.placement and pool = pool_for_id t vtpm_id in
+  fun us ->
+    let pool = if t.placement = at then pool else pool_for_id t vtpm_id in
+    ignore (Vtpm_util.Cost.Lanes.exec pool t.cost ~key:vtpm_id us)
+
 (* --- Shard (vTPM group) management ---------------------------------------- *)
 
-let set_shards t g = t.shards <- g
+let set_shards t g =
+  t.shards <- g;
+  moved t
 let shards t = t.shards
 
 let shard_of t (inst : instance) =
@@ -162,6 +183,7 @@ let assign_group t (inst : instance) ~label =
           old.Group.members <- old.Group.members - 1
       | _ -> ());
       let s = Group.intern g ~label in
+      moved t;
       inst.group_id <- s.Group.group_id;
       s.Group.members <- s.Group.members + 1;
       (match inst.bound_domid with
@@ -193,6 +215,7 @@ let adopt t ~engine ~state : instance =
     }
   in
   Hashtbl.replace t.instances vtpm_id inst;
+  moved t;
   Vtpm_util.Cost.charge t.cost Vtpm_util.Cost.vtpm_attach_us;
   inst
 
@@ -229,12 +252,14 @@ let evict_holder t domid ~(except : int) =
   | _ -> ()
 
 let bind_domid t (inst : instance) domid =
+  moved t;
   evict_holder t domid ~except:inst.vtpm_id;
   drop_index_entry t inst;
   inst.bound_domid <- Some domid;
   Hashtbl.replace t.domid_index domid (inst.group_id, inst.vtpm_id)
 
 let unbind_domid t (inst : instance) =
+  moved t;
   drop_index_entry t inst;
   inst.bound_domid <- None
 
@@ -259,6 +284,7 @@ let count_member t (inst : instance) =
    than mutate live ones. Keeps the index (and shard membership) in step
    with the incoming record. *)
 let install_instance t (inst : instance) =
+  moved t;
   (match Hashtbl.find_opt t.instances inst.vtpm_id with
   | Some old ->
       drop_index_entry t old;
@@ -273,6 +299,7 @@ let install_instance t (inst : instance) =
   | None -> ()
 
 let destroy_instance t vtpm_id =
+  moved t;
   (match Hashtbl.find_opt t.instances vtpm_id with
   | Some inst ->
       drop_index_entry t inst;
@@ -289,6 +316,7 @@ let is_wedged (inst : instance) = inst.state = Wedged
    The hardware TPM is a physical chip — it survives, which is exactly
    what lets sealed checkpoints restore afterwards. *)
 let crash t =
+  moved t;
   Hashtbl.reset t.instances;
   Hashtbl.reset t.domid_index;
   match t.shards with

@@ -43,7 +43,15 @@ type t = {
           [None] (the default) keeps the transport byte-identical *)
   mutable hw_ops : int;  (** hardware round trips attempted under faults *)
   mutable hw_power_cycles : int;
+  mutable placement : int;  (** see {!placement} *)
 }
+
+val placement : t -> int
+(** Placement generation: bumped by every change to the instance table,
+    the domid index, a group assignment, the group registry or the
+    manager-wide pool. While it is unchanged, {!find},
+    {!route_for_domid}, {!shard_of} and the pool {!charge_lane} uses give
+    the same answers. *)
 
 val manager_pcr : int
 (** Hardware-TPM PCR holding the manager's own measurement; sealed vTPM
@@ -110,6 +118,11 @@ val charge_lane : t -> vtpm_id:int -> float -> unit
 (** Charge non-command work (degraded reads, restarts) to the instance's
     lane — in its shard's pool when grouped — instead of the global
     meter. *)
+
+val lane_charger : t -> vtpm_id:int -> float -> unit
+(** [charge_lane t ~vtpm_id] with the pool resolved at once and reused
+    while {!placement} is unchanged: every charge lands where
+    {!charge_lane} would put it. *)
 
 (** {1 vTPM groups (manager shards)} *)
 

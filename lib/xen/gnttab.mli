@@ -10,6 +10,11 @@ type access = Read_only | Read_write
 
 type t
 
+type grant
+(** One grant's record. Grants are never removed and refs never reused,
+    so a record found once stays that grant: its accessors read the live
+    state, with no further lookup. *)
+
 val create : unit -> t
 
 val version : t -> int
@@ -46,4 +51,15 @@ val remap : t -> owner:Domain.domid -> gref:gref -> frame:int -> (unit, string) 
 val inspect : t -> owner:Domain.domid -> gref:gref -> (int * bool * bool) option
 (** [(frame, in_use, revoked)] — the mapping side's integrity view. *)
 
+val lookup : t -> owner:Domain.domid -> gref:gref -> grant option
+
+val frame : grant -> int
+val mapped : grant -> bool
+val revoked : grant -> bool
+(** Live {!inspect} fields of a held grant: backing frame, in use by the
+    grantee, revoked. *)
+
 val revoke_all_for : t -> Domain.domid -> unit
+(** Revoke every grant the domain owns or received (domain destruction),
+    and bump {!version} once. Runs in the domain's own grant count, not
+    the host's. *)

@@ -156,18 +156,31 @@ let bind_evtchn t ~a ~b = Evtchn.bind_interdomain t.evtchn ~a ~b
 (* Notification delivery is where the injector models a lossy platform: a
    dropped kick looks like success to the sender (exactly the failure a
    guest cannot observe), a delayed one charges extra simulated time, a
-   duplicated one lands twice on the peer. *)
-let notify t ~domid ~port =
+   duplicated one lands twice on the peer. [dropped] charges the kick and
+   draws the drop and delay faults. *)
+let dropped t =
   Vtpm_util.Cost.charge t.cost Vtpm_util.Cost.evtchn_notify_us;
-  if Faults.fire t.faults Faults.Drop_notify then Ok ()
+  Faults.fire t.faults Faults.Drop_notify
+  || begin
+       if Faults.fire t.faults Faults.Delay_notify then
+         Vtpm_util.Cost.charge t.cost (Faults.delay_us t.faults);
+       false
+     end
+
+let notify_on t ch =
+  if dropped t then Ok ()
   else begin
-    if Faults.fire t.faults Faults.Delay_notify then
-      Vtpm_util.Cost.charge t.cost (Faults.delay_us t.faults);
-    let r = Evtchn.notify t.evtchn ~domid ~port in
+    let r = Evtchn.notify_on ch in
     (if Result.is_ok r && Faults.fire t.faults Faults.Dup_notify then
-       ignore (Evtchn.notify t.evtchn ~domid ~port));
+       ignore (Evtchn.notify_on ch));
     r
   end
+
+(* An unknown port draws the same faults before failing. *)
+let notify t ~domid ~port =
+  match Evtchn.find t.evtchn ~domid ~port with
+  | Some ch -> notify_on t ch
+  | None -> if dropped t then Ok () else Evtchn.notify t.evtchn ~domid ~port
 
 let evtchn_remote t ~domid ~port = Evtchn.remote_domid t.evtchn ~domid ~port
 
@@ -198,7 +211,6 @@ let force_revoke_grant t ~caller ~owner ~gref =
     Error "only the owner or dom0 may force-revoke a grant"
   else Gnttab.force_revoke t.gnttab ~owner ~gref
 
-let grant_backing t ~owner ~gref = Gnttab.inspect t.gnttab ~owner ~gref
 let grant_version t = Gnttab.version t.gnttab
 
 (* XenStore access, charged to the simulated clock. Transient injected
@@ -208,6 +220,11 @@ let xs_read t ~caller path =
   Vtpm_util.Cost.charge t.cost Vtpm_util.Cost.xenstore_op_us;
   if Faults.fire t.faults Faults.Xenstore_transient then Error Xenstore.Eagain
   else Xenstore.read t.store ~caller path
+
+let xs_read_at t ~caller cursor =
+  Vtpm_util.Cost.charge t.cost Vtpm_util.Cost.xenstore_op_us;
+  if Faults.fire t.faults Faults.Xenstore_transient then Error Xenstore.Eagain
+  else Xenstore.read_at t.store ~caller cursor
 
 let xs_write t ~caller path value =
   Vtpm_util.Cost.charge t.cost Vtpm_util.Cost.xenstore_op_us;

@@ -73,6 +73,11 @@ val scan_foreign_memory :
 
 val bind_evtchn : t -> a:Domain.domid -> b:Domain.domid -> Evtchn.port * Evtchn.port
 val notify : t -> domid:Domain.domid -> port:Evtchn.port -> (unit, string) result
+
+val notify_on : t -> Evtchn.channel -> (unit, string) result
+(** {!notify} on a held endpoint: the same charge, fault draws and result,
+    without the (domid, port) lookup. *)
+
 val evtchn_remote : t -> domid:Domain.domid -> port:Evtchn.port -> Domain.domid option
 
 val grant :
@@ -100,10 +105,6 @@ val force_revoke_grant :
 (** End a grant even while mapped (owner or dom0). The mapped side's next
     transport-integrity check fails the in-flight operation. *)
 
-val grant_backing :
-  t -> owner:Domain.domid -> gref:Gnttab.gref -> (int * bool * bool) option
-(** [(frame, in_use, revoked)] for a grant — the mapping side's view. *)
-
 val grant_version : t -> int
 (** {!Gnttab.version} of the grant table: unchanged means no grant was
     created, mapped, unmapped, revoked or remapped since it was read. *)
@@ -111,6 +112,10 @@ val grant_version : t -> int
 (** {1 XenStore access (charged to the simulated clock)} *)
 
 val xs_read : t -> caller:Domain.domid -> string -> (string, Xenstore.error) result
+val xs_read_at : t -> caller:Domain.domid -> Xenstore.cursor -> (string, Xenstore.error) result
+(** {!xs_read} through a {!Xenstore.cursor}: the same charge and
+    transient-fault draw, the same result. *)
+
 val xs_write : t -> caller:Domain.domid -> string -> string -> (unit, Xenstore.error) result
 val xs_rm : t -> caller:Domain.domid -> string -> (unit, Xenstore.error) result
 val xs_directory : t -> caller:Domain.domid -> string -> (string list, Xenstore.error) result

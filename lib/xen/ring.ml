@@ -34,7 +34,7 @@ type t = {
   (* Slot ids with a pushed request and no response yet — a backend
      answering an id it was never asked about is a protocol violation,
      not something to silently enqueue. *)
-  outstanding : (int, unit) Hashtbl.t;
+  outstanding : unit Vtpm_util.Itbl.t;
   (* Wiring recorded at connect time; the backend reads the frontend's
      identity from here, never from payloads. *)
   frontend : Domain.domid;
@@ -58,7 +58,7 @@ let create ?(capacity = default_capacity) ~frontend ~backend () =
     requests = Queue.create ();
     responses = Queue.create ();
     next_id = 0;
-    outstanding = Hashtbl.create 16;
+    outstanding = Vtpm_util.Itbl.create 16;
     frontend;
     backend;
     req_prod = 0;
@@ -90,7 +90,7 @@ let push_slot t (s : slot) : (int, string) result =
   else begin
     t.next_id <- t.next_id + 1;
     Queue.push s t.requests;
-    Hashtbl.replace t.outstanding s.id ();
+    Vtpm_util.Itbl.replace t.outstanding s.id ();
     t.hist.(s.id mod t.capacity) <- Some s;
     t.req_prod <- t.req_prod + 1;
     t.on_produce ();
@@ -131,16 +131,16 @@ let pop_request t : slot option =
     match t.hist.(slot_index) with
     | None -> None
     | Some s ->
-        Hashtbl.replace t.outstanding s.id ();
+        Vtpm_util.Itbl.replace t.outstanding s.id ();
         Some s
   end
 
 let push_response t ~id (payload : string) : (unit, string) result =
-  if not (Hashtbl.mem t.outstanding id) then
+  if not (Vtpm_util.Itbl.mem t.outstanding id) then
     Error (Printf.sprintf "unknown slot id %d" id)
   else if Queue.length t.responses >= t.capacity then Error "ring full"
   else begin
-    Hashtbl.remove t.outstanding id;
+    Vtpm_util.Itbl.remove t.outstanding id;
     Queue.push { id; payload; pusher = t.backend } t.responses;
     Ok ()
   end

@@ -96,6 +96,29 @@ let read t ~caller path : (string, error) result =
   | None -> Error Enoent
   | Some n -> if can_read t ~caller n then Ok n.value else Error Eacces
 
+(* A path resolved once and kept with the node it found, stamped with the
+   store generation. Every structural change (a node created by [write],
+   removed by [rm]) bumps the generation, so while it is unchanged the
+   node is still the one at the path; the value and permissions are read
+   from it live. A miss is not kept: the next read resolves again. *)
+type cursor = { comps : string list; mutable node : node option; mutable at : int }
+
+let cursor path = { comps = split_path path; node = None; at = -1 }
+
+let resolve t c =
+  match c.node with
+  | Some _ as found when c.at = t.generation -> found
+  | _ ->
+      let found = find_node t.root c.comps in
+      c.node <- found;
+      c.at <- t.generation;
+      found
+
+let read_at t ~caller c : (string, error) result =
+  match resolve t c with
+  | None -> Error Enoent
+  | Some n -> if can_read t ~caller n then Ok n.value else Error Eacces
+
 let directory t ~caller path : (string list, error) result =
   match find_node t.root (split_path path) with
   | None -> Error Enoent

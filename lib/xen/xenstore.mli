@@ -50,6 +50,20 @@ val error_name : error -> string
 val read : t -> caller:Domain.domid -> string -> (string, error) result
 val directory : t -> caller:Domain.domid -> string -> (string list, error) result
 
+type cursor
+(** A path split once and kept with the node it last resolved to,
+    stamped with [generation]. {!write}, {!rm} and {!set_perms} bump the
+    generation, so while it is unchanged the node is still the one at
+    the path. *)
+
+val cursor : string -> cursor
+
+val read_at : t -> caller:Domain.domid -> cursor -> (string, error) result
+(** {!read} through a cursor: the same result for the same store state.
+    The path is walked again only when the generation has moved since the
+    cursor last resolved it; value and permissions are always read from
+    the node live. *)
+
 val write : t -> caller:Domain.domid -> string -> string -> (unit, error) result
 (** Creates intermediate nodes (mkdir-on-write); created nodes are owned
     by the caller and inherit the parent's default permission and ACL. *)

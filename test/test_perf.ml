@@ -327,6 +327,41 @@ let test_protected_hop_allocation_budget () =
   check_b "instance home again" true (Result.is_ok (Manager.find hosts.(0).Host.mgr !back));
   if words > 10_000.0 then Alcotest.failf "protected hop allocated %.0f words (budget 10 000)" words
 
+(* One mediated command on pcr-fleet's host shape (sharded, two lanes per
+   shard, a 1000-rule guarded policy, a capped audit log): Extend and
+   PCR_Read through [Client], inputs built beforehand, warm host. The
+   budget covers the client's encoding, the split driver, the monitor
+   decision, the audit append and the engine; the connection-scoped
+   request path brought it from about 800 words to about 430 (OCaml
+   5.1.1); the headroom is for other compilers. *)
+let mediated_command_budget = 560.0
+
+let test_mediated_command_allocation_budget () =
+  let groups = [| "tenant_a"; "tenant_b"; "tenant_c"; "tenant_d" |] in
+  let host = Host.create ~seed:13 ~rsa_bits:256 ~policy:(Policy.synthetic_guarded ~n:1000) () in
+  Monitor.set_audit_cap (Host.monitor_exn host) (Some 8192);
+  ignore (Host.enable_sharding host ~lanes_per_shard:2 ());
+  let clients =
+    Array.init 8 (fun i ->
+        Host.guest_client host
+          (Host.create_guest_exn host ~name:(Printf.sprintf "vm%d" i) ~label:groups.(i mod 4) ()))
+  in
+  let n = 400 in
+  let digests = Array.init n (fun k -> String.make 20 (Char.chr (k land 0xff))) in
+  let run k =
+    let c = clients.(k mod Array.length clients) in
+    let ok =
+      if k mod 2 = 0 then Result.is_ok (Vtpm_tpm.Client.extend c ~pcr:(8 + (k mod 8)) ~digest:digests.(k))
+      else Result.is_ok (Vtpm_tpm.Client.pcr_read c ~pcr:(k mod 16))
+    in
+    if not ok then Alcotest.failf "command %d failed" k
+  in
+  for k = 0 to n - 1 do run k done;
+  let words = minor_words (fun () -> for k = 0 to n - 1 do run k done) /. float_of_int n in
+  if words > mediated_command_budget then
+    Alcotest.failf "one mediated command allocated %.0f words (budget %.0f)" words
+      mediated_command_budget
+
 let test_hw_client_deterministic_across_churn () =
   (* The hardware client's auth-session nonces must derive from the
      manager's creation seed, not the mutable per-instance seed counter:
@@ -606,4 +641,6 @@ let suite =
       test_xtea_ctr_allocation_budget;
     Alcotest.test_case "migration: protected hop within budget" `Quick
       test_protected_hop_allocation_budget;
+    Alcotest.test_case "request path: one mediated command within budget" `Quick
+      test_mediated_command_allocation_budget;
   ]

@@ -382,6 +382,245 @@ let test_idle_kick_examines_one_ring () =
   check_i "one kick examines one ring" 1 (Driver.ring_checks backend - before);
   check_i "and leaves the list empty" 0 (List.length backend.Driver.work)
 
+(* --- Connection-scoped state vs fresh reads ------------------------------------
+
+   Each connection keeps its [instance] node cursor, its channel and
+   grant records and its lane sink, and the monitor keeps each sender's
+   route. Guest requests are interleaved with what can invalidate them —
+   dom0 rewriting, removing, re-creating or re-permissioning the instance
+   node, a closed channel, a reconnect, a revoked or remapped ring grant,
+   a group re-placement, a guest destroyed — and after each request:
+
+   - the instance the driver framed (seen by the router), or its read
+     error, equals a fresh [Xenstore.read] by the frontend;
+   - the request's audit entry carries the claimed-id mismatch exactly
+     when that fresh read disagrees with the binding, and its group tag
+     names the instance's current shard; a dom0 write or removal of the
+     node raises a tamper alert exactly when dom0's fresh read disagrees
+     with the binding;
+   - the exchange's lane charges land on the instance's current shard
+     and on no other. *)
+
+type cstep =
+  | Creq of int * int  (** guest, command *)
+  | Crewrite of int * int  (** guest, value selector *)
+  | Cremove of int
+  | Creperm of int * bool  (** readable by the guest? *)
+  | Cclose of int
+  | Creconnect of int
+  | Crevoke of int
+  | Cremap of int * int
+  | Cplace of int * int  (** guest, group *)
+  | Cdestroy of int
+
+let cguests = 4
+let cgroups = [| "tenant_a"; "tenant_b"; "tenant_c" |]
+
+let cdecode (tag, arg) =
+  let g = arg mod cguests in
+  match tag mod 16 with
+  | 0 | 1 | 2 | 3 | 4 | 5 -> Creq (g, arg / cguests)
+  | 6 | 7 -> Crewrite (g, arg / cguests)
+  | 8 -> Cremove g
+  | 9 -> Creperm (g, arg / cguests mod 3 <> 0)
+  | 10 -> Cclose g
+  | 11 | 12 -> Creconnect g
+  | 13 -> if arg mod 2 = 0 then Crevoke g else Cremap (g, arg)
+  | 14 -> Cplace (g, arg / cguests)
+  | _ -> if arg mod 5 = 0 then Cdestroy g else Creq (g, arg)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* Commands run per pool, the manager-wide pool as group 0 (every guest
+   here is grouped, so nothing of theirs belongs there). *)
+let shard_runs (host : Host.t) =
+  let runs lanes = Array.fold_left (fun a (n, _) -> a + n) 0 lanes in
+  (0, runs (Vtpm_util.Cost.Lanes.stats host.Host.mgr.Vtpm_mgr.Manager.lanes))
+  :: List.map (fun (gid, _, _, lanes) -> (gid, runs lanes)) (Vtpm_mgr.Manager.shard_stats host.Host.mgr)
+
+let connection_state_violation schedule =
+  let host = Host.create ~mode:Host.Improved_mode ~seed:5 ~rsa_bits:256 () in
+  ignore (Host.enable_sharding host ~lanes_per_shard:2 ());
+  let gs =
+    Array.init cguests (fun i ->
+        Host.create_guest_exn host ~name:(Printf.sprintf "g%d" i)
+          ~label:cgroups.(i mod Array.length cgroups) ())
+  in
+  let destroyed = Array.make cguests false in
+  let xen = host.Host.xen and backend = host.Host.backend and mgr = host.Host.mgr in
+  let m = Host.monitor_exn host in
+  let routed = ref [] in
+  let route = backend.Driver.router in
+  backend.Driver.router <-
+    (fun ~sender ~claimed_instance ~wire ->
+      routed := (sender, claimed_instance) :: !routed;
+      route ~sender ~claimed_instance ~wire);
+  let path g = Driver.vtpm_fe_path gs.(g).Host.domid ^ "/instance" in
+  let bound g =
+    Option.map (fun b -> b.Binding.vtpm_id) (Binding.lookup_domid m.Monitor.bindings gs.(g).Host.domid)
+  in
+  let disagrees g read =
+    match bound g with Some id -> read <> Ok (string_of_int id) | None -> false
+  in
+  (* [f ()] and the audit entries it appended, newest first. *)
+  let logged f =
+    let before = Audit.length m.Monitor.audit in
+    let v = f () in
+    ( v,
+      List.filteri
+        (fun i _ -> i < Audit.length m.Monitor.audit - before)
+        (Audit.entries_newest_first m.Monitor.audit) )
+  in
+  let alerts es = List.length (List.filter (fun e -> e.Audit.operation = "tamper-alert") es) in
+  (* A dom0 mutation of the node; [fires] when it triggers the watch. *)
+  let dom0_op g ~fires f =
+    let (), es = logged f in
+    let read = Xenstore.read xen.Hypervisor.store ~caller:Hypervisor.dom0_id (path g) in
+    let want = if fires && disagrees g read then 1 else 0 in
+    if alerts es <> want then Some (Printf.sprintf "guest %d: %d tamper alerts, want %d" g (alerts es) want)
+    else None
+  in
+  let request g k =
+    let conn = gs.(g).Host.conn and fe = gs.(g).Host.domid in
+    let runs0 = shard_runs host in
+    routed := [];
+    let result, es = logged (fun () -> Driver.request backend conn ~wire:(command k)) in
+    let fresh = Xenstore.read xen.Hypervisor.store ~caller:fe (path g) in
+    let mine = List.filter_map (fun (d, c) -> if d = fe then Some c else None) !routed in
+    let foreign = List.exists (fun (d, _) -> d <> fe) !routed in
+    let err = match result with Error e -> e | Ok _ -> "" in
+    let framed_ok =
+      match (mine, fresh) with
+      | [ c ], Ok v -> int_of_string_opt v = Some c
+      | [ _ ], Error _ -> false
+      | _ :: _ :: _, _ -> false
+      | [], _ ->
+          if contains err "cannot read instance: " then
+            match fresh with
+            | Error e -> contains err ("cannot read instance: " ^ Xenstore.error_name e)
+            | Ok _ -> false
+          else if contains err "malformed instance id" then
+            match fresh with Ok v -> int_of_string_opt v = None | Error _ -> false
+          else
+            (* Failed before the read (link down, tampered transport) or
+               after a successful one (no response). *)
+            contains err "disconnected" || contains err "transport integrity"
+            || match fresh with Ok v -> int_of_string_opt v <> None | Error _ -> false
+    in
+    let current = Vtpm_mgr.Manager.route_for_domid mgr fe in
+    let decision =
+      List.find_opt
+        (fun e -> e.Audit.subject = Printf.sprintf "guest:%d" fe && e.Audit.allowed
+                  && String.length e.Audit.operation > 4 && String.sub e.Audit.operation 0 4 = "TPM_")
+        es
+    in
+    let audit_ok =
+      match (mine, decision) with
+      | [ _ ], Some e ->
+          let mismatch = contains e.Audit.reason "claimed-id-mismatch" in
+          let tag_ok =
+            match current with
+            | Some (_, inst) -> (
+                match Vtpm_mgr.Manager.shard_of mgr inst with
+                | Some s ->
+                    let tag = ";" ^ Vtpm_mgr.Group.audit_tag s in
+                    let n = String.length e.Audit.reason and t = String.length tag in
+                    n >= t && String.sub e.Audit.reason (n - t) t = tag
+                | None -> true)
+            | None -> true
+          in
+          mismatch = disagrees g fresh && tag_ok
+      | [], None -> true
+      | _, _ -> false
+    in
+    let lanes_ok =
+      foreign
+      ||
+      let runs1 = shard_runs host in
+      let home = match current with Some (gid, _) -> gid | None -> 0 in
+      let reached = not (contains err "transport integrity") in
+      List.for_all2
+        (fun (gid, n0) (_, n1) ->
+          if gid = home && home <> 0 && reached then n1 > n0 else n1 = n0)
+        runs0 runs1
+    in
+    if not framed_ok then
+      Some (Printf.sprintf "guest %d framed %s, fresh read %s (driver: %s)" g
+              (String.concat "," (List.map string_of_int mine))
+              (match fresh with Ok v -> v | Error e -> Xenstore.error_name e) err)
+    else if not audit_ok then Some (Printf.sprintf "guest %d: audit entry disagrees with the fresh read" g)
+    else if not lanes_ok then Some (Printf.sprintf "guest %d: lane charges off its current shard" g)
+    else None
+  in
+  let store = xen.Hypervisor.store in
+  let apply = function
+    | Creq (g, k) -> request g k
+    | Crewrite (g, k) when not destroyed.(g) ->
+        let v =
+          if k mod 5 = 0 then "junk" else string_of_int gs.((k / 5) mod cguests).Host.vtpm_id
+        in
+        dom0_op g ~fires:true (fun () ->
+            ignore (Xenstore.write store ~caller:Hypervisor.dom0_id (path g) v))
+    | Cremove g when not destroyed.(g) ->
+        let fires = Result.is_ok (Xenstore.read store ~caller:Hypervisor.dom0_id (path g)) in
+        dom0_op g ~fires (fun () -> ignore (Xenstore.rm store ~caller:Hypervisor.dom0_id (path g)))
+    | Creperm (g, readable) when not destroyed.(g) ->
+        let acl = if readable then [ (gs.(g).Host.domid, Xenstore.Pread) ] else [] in
+        dom0_op g ~fires:false (fun () ->
+            ignore
+              (Xenstore.set_perms store ~caller:Hypervisor.dom0_id (path g)
+                 ~owner:Hypervisor.dom0_id ~others:Xenstore.Pnone ~acl))
+    | Cclose g when not destroyed.(g) ->
+        let c = gs.(g).Host.conn in
+        Evtchn.close xen.Hypervisor.evtchn ~domid:c.Driver.fe_domid ~port:c.Driver.fe_port;
+        None
+    | Creconnect g when not destroyed.(g) ->
+        ignore (Driver.reconnect backend gs.(g).Host.conn);
+        None
+    | Crevoke g when not destroyed.(g) ->
+        let c = gs.(g).Host.conn in
+        ignore
+          (Hypervisor.force_revoke_grant xen ~caller:Hypervisor.dom0_id ~owner:c.Driver.fe_domid
+             ~gref:c.Driver.gref);
+        None
+    | Cremap (g, k) when not destroyed.(g) ->
+        let c = gs.(g).Host.conn in
+        ignore
+          (Hypervisor.remap_grant xen ~caller:Hypervisor.dom0_id ~owner:c.Driver.fe_domid
+             ~gref:c.Driver.gref ~frame:(60_000 + (k mod 64)));
+        None
+    | Cplace (g, k) when not destroyed.(g) ->
+        (match Vtpm_mgr.Manager.find mgr gs.(g).Host.vtpm_id with
+        | Ok inst ->
+            ignore (Vtpm_mgr.Manager.assign_group mgr inst ~label:cgroups.(k mod Array.length cgroups))
+        | Error _ -> ());
+        None
+    | Cdestroy g when not destroyed.(g) ->
+        destroyed.(g) <- true;
+        ignore (Host.destroy_guest host gs.(g));
+        None
+    | _ -> None
+  in
+  let rec go i = function
+    | [] -> None
+    | ((tag, arg) as pair) :: rest -> (
+        match apply (cdecode pair) with
+        | None -> go (i + 1) rest
+        | Some m -> Some (Printf.sprintf "step %d (%d, %d): %s" i tag arg m))
+  in
+  go 0 schedule
+
+let prop_connection_state_matches_fresh_reads =
+  QCheck.Test.make ~count:40 ~name:"connection-scoped state matches fresh reads"
+    QCheck.(list_of_size Gen.(int_range 1 60) (pair (int_bound 999) (int_bound 999)))
+    (fun schedule ->
+      match connection_state_violation schedule with
+      | None -> true
+      | Some m -> QCheck.Test.fail_reportf "%s" m)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_pump_matches_sweep;
@@ -397,4 +636,5 @@ let suite =
       test_lost_response_kick_runs_once;
     Alcotest.test_case "lossy-kick fuzz traces match the shadow PCRs" `Slow
       test_lossy_kick_traces_match_shadow;
+    QCheck_alcotest.to_alcotest prop_connection_state_matches_fresh_reads;
   ]

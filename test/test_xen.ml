@@ -608,6 +608,135 @@ let test_sched_latecomer_gets_share () =
   let after = match Sched.find s 2 with Some v -> v.Sched.runtime_us | None -> 0.0 in
   check_b "latecomer served" true (after -. before > 700_000.0)
 
+(* --- Teardown cost and connection-scoped lookups --------------------------------
+
+   Channels and grants are indexed per domain, so tearing one domain down
+   among many touches only its own entries; the closed and revoked flags
+   and the errors a later notify or map sees are what the whole-table
+   walk produced. *)
+
+let test_teardown_touches_one_domain () =
+  let e = Evtchn.create () and g = Gnttab.create () in
+  let doms = 500 and victim = 250 in
+  (* Every domain holds a channel pair and a mapped grant toward dom0,
+     plus one channel and one grant with its successor. *)
+  let chans = Array.init doms (fun d -> Evtchn.bind_interdomain e ~a:(d + 1) ~b:0) in
+  let peers = Array.init doms (fun d -> Evtchn.bind_interdomain e ~a:(d + 1) ~b:(((d + 1) mod doms) + 1)) in
+  let grants =
+    Array.init doms (fun d ->
+        let gref = Gnttab.grant_access g ~owner:(d + 1) ~grantee:0 ~frame:d ~access:Gnttab.Read_write in
+        ignore (Gnttab.map g ~caller:0 ~owner:(d + 1) ~gref);
+        gref)
+  in
+  let cross =
+    Array.init doms (fun d ->
+        Gnttab.grant_access g ~owner:(((d + 1) mod doms) + 1) ~grantee:(d + 1) ~frame:d
+          ~access:Gnttab.Read_only)
+  in
+  let v = victim + 1 in
+  ignore (Evtchn.notify e ~domid:v ~port:(fst chans.(victim)));
+  let version = Gnttab.version g in
+  Evtchn.close_all_for e v;
+  Gnttab.revoke_all_for g v;
+  check_i "one version bump" (version + 1) (Gnttab.version g);
+  let closed d port = match Evtchn.find e ~domid:d ~port with Some c -> c.Evtchn.closed | None -> false in
+  let revoked owner gref =
+    match Gnttab.inspect g ~owner ~gref with Some (_, _, r) -> r | None -> false
+  in
+  for d = 0 to doms - 1 do
+    let id = d + 1 and next = ((d + 1) mod doms) + 1 in
+    let pa, pb = chans.(d) and qa, qb = peers.(d) in
+    let touches_victim = id = v || next = v in
+    check_b (Printf.sprintf "dom %d own channel" id) (id = v) (closed id pa);
+    check_b (Printf.sprintf "dom0 end of dom %d" id) (id = v) (closed 0 pb);
+    check_b (Printf.sprintf "dom %d pair with %d" id next) touches_victim (closed id qa);
+    check_b (Printf.sprintf "dom %d end of pair" next) touches_victim (closed next qb);
+    check_b (Printf.sprintf "grant of dom %d" id) (id = v) (revoked id grants.(d));
+    check_b (Printf.sprintf "grant from %d to %d" next id) touches_victim (revoked next cross.(d))
+  done;
+  let pa, pb = chans.(victim) in
+  check_b "notify on the closed end" true
+    (Evtchn.notify e ~domid:v ~port:pa = Error "event channel closed");
+  check_b "notify toward the closed end" true
+    (Evtchn.notify e ~domid:0 ~port:pb = Error "event channel closed");
+  check_i "undelivered kick kept, as before" 1
+    (Option.get (Evtchn.find e ~domid:0 ~port:pb)).Evtchn.pending;
+  check_b "but not delivered" true (Evtchn.poll e ~domid:0 ~port:pb = None);
+  check_b "map of a revoked grant" true
+    (Gnttab.map g ~caller:0 ~owner:v ~gref:grants.(victim) = Error "grant revoked");
+  let other = 17 in
+  check_b "another domain still notifies" true
+    (Evtchn.notify e ~domid:(other + 1) ~port:(fst chans.(other)) = Ok ());
+  check_b "another domain still maps" true
+    (Result.is_ok (Gnttab.map g ~caller:0 ~owner:(other + 1) ~gref:grants.(other)))
+
+(* A held channel record notifies and polls exactly as its port does. *)
+let test_evtchn_held_endpoint () =
+  let e = Evtchn.create () in
+  let pa, pb = Evtchn.bind_interdomain e ~a:1 ~b:2 in
+  let ca = Option.get (Evtchn.find e ~domid:1 ~port:pa) in
+  let cb = Option.get (Evtchn.find e ~domid:2 ~port:pb) in
+  check_b "peers linked" true (ca.Evtchn.peer == cb && cb.Evtchn.peer == ca);
+  check_b "notify on held" true (Evtchn.notify_on ca = Ok ());
+  check_b "poll by port sees it" true (Evtchn.poll e ~domid:2 ~port:pb = Some 1);
+  check_b "nothing left to take" false (Evtchn.take cb);
+  ignore (Evtchn.notify e ~domid:1 ~port:pa);
+  check_b "take sees a port notify" true (Evtchn.take cb);
+  Evtchn.close e ~domid:2 ~port:pb;
+  check_b "held end sees the close" true (Evtchn.notify_on ca = Error "event channel closed")
+
+(* Cursor reads against plain reads: after every mutation of a small tree
+   (writes, removals, re-creations, permission changes), a cursor that
+   was resolved before it answers exactly as a fresh [read] does, for
+   the owner, a reader on the ACL and an outsider. *)
+type xs_cursor_op =
+  | CWrite of string list * string
+  | CRm of string list
+  | CPerms of string list * Xenstore.perm
+
+let prop_cursor_matches_read =
+  let open QCheck in
+  let seg = Gen.oneofl [ "a"; "b" ] in
+  let path = Gen.list_size (Gen.int_range 1 3) seg in
+  let op =
+    Gen.frequency
+      [
+        (3, Gen.map2 (fun p v -> CWrite (p, v)) path (Gen.oneofl [ "1"; "2"; "x" ]));
+        (2, Gen.map (fun p -> CRm p) path);
+        ( 2,
+          Gen.map2
+            (fun p q -> CPerms (p, q))
+            path
+            (Gen.oneofl [ Xenstore.Pnone; Xenstore.Pread; Xenstore.Pwrite; Xenstore.Prdwr ]) );
+      ]
+  in
+  Test.make ~count:200 ~name:"xs cursor reads match fresh reads"
+    (make (Gen.list_size (Gen.int_range 1 30) op))
+    (fun ops ->
+      let xs = Xenstore.create () in
+      let paths = [ [ "a" ]; [ "a"; "b" ]; [ "b"; "a"; "b" ]; [ "a"; "a"; "a" ] ] in
+      let cursors = List.map (fun p -> (p, Xenstore.cursor (Xenstore.join_path p))) paths in
+      let check () =
+        List.for_all
+          (fun (p, c) ->
+            List.for_all
+              (fun caller ->
+                Xenstore.read_at xs ~caller c = Xenstore.read xs ~caller (Xenstore.join_path p))
+              [ 0; 5; 6 ])
+          cursors
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | CWrite (p, v) -> ignore (Xenstore.write xs ~caller:0 (Xenstore.join_path p) v)
+          | CRm p -> ignore (Xenstore.rm xs ~caller:0 (Xenstore.join_path p))
+          | CPerms (p, q) ->
+              ignore
+                (Xenstore.set_perms xs ~caller:0 (Xenstore.join_path p) ~owner:0 ~others:q
+                   ~acl:[ (5, Xenstore.Pread) ]));
+          check ())
+        ops)
+
 let suite =
   [
     Alcotest.test_case "domain lifecycle valid" `Quick test_domain_lifecycle_valid;
@@ -668,4 +797,8 @@ let suite =
     Alcotest.test_case "sched remove/bad weight" `Quick test_sched_remove_and_bad_weight;
     Alcotest.test_case "sched latecomer" `Quick test_sched_latecomer_gets_share;
     QCheck_alcotest.to_alcotest prop_xenstore_matches_model;
+    Alcotest.test_case "teardown touches one domain among 500" `Quick
+      test_teardown_touches_one_domain;
+    Alcotest.test_case "evtchn held endpoint" `Quick test_evtchn_held_endpoint;
+    QCheck_alcotest.to_alcotest prop_cursor_matches_read;
   ]
